@@ -37,7 +37,7 @@ def _csv_text(header, rows):
 
 
 def _json_text(payload):
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _write_atomic(path, text):
@@ -165,7 +165,7 @@ def cmd_spectrum(args):
         sys.stdout.write(_json_text(summary))
     elif fmt == "csv":
         sys.stdout.write(table)
-        sys.stdout.write(json.dumps(summary) + "\n")
+        sys.stdout.write(json.dumps(summary, allow_nan=False) + "\n")
     else:
         sys.stdout.write(table)
     return 0
@@ -437,6 +437,16 @@ def cmd_verify(args):
     return 0 if all_pass else 1
 
 
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--out", metavar="PATH", default=None)
@@ -454,9 +464,9 @@ def _build_parser():
 
     kernel = sub.add_parser("kernel", help="evaluate a kernel on a point or grid")
     kernel.add_argument("--ell", type=int)
-    kernel.add_argument("--x", type=float)
-    kernel.add_argument("--xmin", type=float)
-    kernel.add_argument("--xmax", type=float)
+    kernel.add_argument("--x", type=_finite_float)
+    kernel.add_argument("--xmin", type=_finite_float)
+    kernel.add_argument("--xmax", type=_finite_float)
     kernel.add_argument("--num", type=int)
     kernel.add_argument(
         "--method", choices=("auto", "closed", "conv", "oracle"), default="auto"
@@ -466,7 +476,7 @@ def _build_parser():
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("--suite", choices=sorted(_SUITES))
-    verify.add_argument("--tol", type=float, default=1e-8)
+    verify.add_argument("--tol", type=_finite_float, default=1e-8)
     _add_common(verify)
     verify.set_defaults(func=cmd_verify)
 
@@ -481,10 +491,10 @@ def _build_parser():
     density = sub.add_parser(
         "density", help="spectral density and multiplier on a lambda grid"
     )
-    density.add_argument("--p", type=float)
-    density.add_argument("--lambda", dest="lam", type=float)
-    density.add_argument("--lambda-min", dest="lam_min", type=float)
-    density.add_argument("--lambda-max", dest="lam_max", type=float)
+    density.add_argument("--p", type=_finite_float)
+    density.add_argument("--lambda", dest="lam", type=_finite_float)
+    density.add_argument("--lambda-min", dest="lam_min", type=_finite_float)
+    density.add_argument("--lambda-max", dest="lam_max", type=_finite_float)
     density.add_argument("--num", type=int)
     _add_common(density)
     density.set_defaults(func=cmd_density)

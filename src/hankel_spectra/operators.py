@@ -130,36 +130,6 @@ def alternating_signs(n):
     return signs
 
 
-def _parity_offset(parity):
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return 0 if parity == "even" else 1
-
-
-def interleaving(n, parity):
-    """2N x N coordinate map sending basis vector a to basis vector 2a
-    (parity 'even') or 2a+1 (parity 'odd')."""
-    mat = np.zeros((2 * n, n))
-    offset = _parity_offset(parity)
-    mat[np.arange(n) * 2 + offset, np.arange(n)] = 1.0
-    return mat
-
-
-def parity_projection(n, parity):
-    """Diagonal projection onto the even- or odd-indexed coordinates."""
-    diag = np.zeros(n)
-    offset = _parity_offset(parity)
-    diag[offset::2] = 1.0
-    return np.diag(diag)
-
-
-def sum_difference_rotation(n):
-    """The 2N x 2N orthogonal block rotation (1/sqrt 2) [[I, -I], [I, I]]."""
-    eye = np.eye(n)
-    root = 1.0 / math.sqrt(2.0)
-    return np.block([[root * eye, -root * eye], [root * eye, root * eye]])
-
-
 def block_parameters(ell):
     """The (sign, p) pairs of the two diagonal blocks that the parity
     decomposition of the order-ell truncation produces (scale 1/pi each);
@@ -186,20 +156,14 @@ def block_decompose_even(m, n):
         raise ValueError(f"block_decompose_even: need 0 <= 2m <= {L_MAX}, got m = {m}")
     _check_size(2 * n)
     big = hankel_truncation(2 * m, 2 * n).entries
-    u_even = interleaving(n, "even")
-    u_odd = interleaving(n, "odd")
-    even_block = u_even.T @ big @ u_even
-    odd_block = u_odd.T @ big @ u_odd
-    cross = max(
-        np.abs(u_even.T @ big @ u_odd).max(), np.abs(u_odd.T @ big @ u_even).max()
-    )
+    cross = max(np.abs(big[0::2, 1::2]).max(), np.abs(big[1::2, 0::2]).max())
     signs = np.outer(alternating_signs(n), alternating_signs(n))
     (sign_even, p_even), (sign_odd, p_odd) = block_parameters(2 * m)
     target_even = (sign_even / math.pi) * hilbert_type(p_even, n, False).entries
     target_odd = (sign_odd / math.pi) * hilbert_type(p_odd, n, False).entries
     deviation = max(
-        np.abs(even_block * signs - target_even).max(),
-        np.abs(odd_block * signs - target_odd).max(),
+        np.abs(big[0::2, 0::2] * signs - target_even).max(),
+        np.abs(big[1::2, 1::2] * signs - target_odd).max(),
     )
     return BlockCertificate(
         parity="even",
@@ -214,9 +178,11 @@ def block_decompose_odd(m, n):
     """Certificate for the odd-order block identity.
 
     For order 2m+1 the diagonal parity blocks vanish identically; the
-    remaining off-diagonal pair, conjugated by the alternating-sign
-    diagonal and the sum/difference rotation, lands on +/-(-1)^(m+1)/pi
-    times the Hilbert-type matrix with parameter -1/2 - m.
+    remaining off-diagonal pair [[0, U], [L, 0]], conjugated by the
+    alternating-sign diagonal, is turned by the sum/difference rotation
+    (1/sqrt 2) [[I, -I], [I, I]] into (1/2) [[U+L, U-L], [L-U, -(U+L)]],
+    which lands on +/-(-1)^(m+1)/pi times the Hilbert-type matrix with
+    parameter -1/2 - m.
     """
     if not (0 <= m and 2 * m + 1 <= L_MAX):
         raise ValueError(
@@ -224,24 +190,15 @@ def block_decompose_odd(m, n):
         )
     _check_size(2 * n)
     big = hankel_truncation(2 * m + 1, 2 * n).entries
-    u_even = interleaving(n, "even")
-    u_odd = interleaving(n, "odd")
-    cross = max(
-        np.abs(u_even.T @ big @ u_even).max(), np.abs(u_odd.T @ big @ u_odd).max()
-    )
-    split = np.hstack([u_even, u_odd])
-    mixed = split.T @ big @ split
-    signs2 = np.concatenate([alternating_signs(n), alternating_signs(n)])
-    mixed = mixed * np.outer(signs2, signs2)
-    rot = sum_difference_rotation(n)
-    final = rot.T @ mixed @ rot
+    cross = max(np.abs(big[0::2, 0::2]).max(), np.abs(big[1::2, 1::2]).max())
+    signs = np.outer(alternating_signs(n), alternating_signs(n))
+    upper = big[0::2, 1::2] * signs
+    lower = big[1::2, 0::2] * signs
     (sign_first, p_block), _ = block_parameters(2 * m + 1)
     target = (sign_first / math.pi) * hilbert_type(p_block, n, False).entries
     deviation = max(
-        np.abs(final[:n, :n] - target).max(),
-        np.abs(final[n:, n:] + target).max(),
-        np.abs(final[:n, n:]).max(),
-        np.abs(final[n:, :n]).max(),
+        np.abs((upper + lower) / 2.0 - target).max(),
+        np.abs((upper - lower) / 2.0).max(),
     )
     return BlockCertificate(
         parity="odd",

@@ -161,6 +161,24 @@ def test_verify_unreachable_tolerance_fails(capsys):
     assert any(not check["pass"] for check in payload["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--ell", "1", "--x", "nan"),
+        ("kernel", "--ell", "1", "--xmin", "-inf", "--xmax", "1.0", "--num", "3"),
+        ("density", "--p", "nan", "--lambda", "1"),
+        ("density", "--p", "0", "--lambda", "inf"),
+        ("density", "--p", "0", "--lambda-min", "0.1", "--lambda-max", "nan", "--num", "3"),
+        ("verify", "--suite", "operators", "--tol", "nan"),
+    ],
+)
+def test_non_finite_float_flags_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(list(argv))
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ArithmeticError("synthetic loss of convergence")
@@ -191,3 +209,16 @@ def test_console_script_bad_flag_exits_two():
         ["hankel-spectra", "density", "--nonsense"], capture_output=True, text=True
     )
     assert result.returncode == 2
+
+
+def test_module_runs_without_installation():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "hankel_spectra", "density", "--p", "0.0", "--lambda", "4.0"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("lambda,rho,h")

@@ -66,22 +66,6 @@ def test_truncation_size_cap(monkeypatch):
     assert op.max_truncation_size() == 4096
 
 
-def test_structure_helpers():
-    rot = op.sum_difference_rotation(5)
-    np.testing.assert_allclose(rot @ rot.T, np.eye(10), atol=1e-15)
-    u_even = op.interleaving(3, "even")
-    u_odd = op.interleaving(3, "odd")
-    assert u_even.shape == (6, 3)
-    np.testing.assert_array_equal(u_even.T @ u_even, np.eye(3))
-    np.testing.assert_array_equal(u_even.T @ u_odd, np.zeros((3, 3)))
-    proj = op.parity_projection(4, "odd")
-    np.testing.assert_array_equal(np.diag(proj), [0.0, 1.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        op.interleaving(3, "sideways")
-    with pytest.raises(ValueError):
-        op.parity_projection(3, "sideways")
-
-
 def test_block_parameters_frozen():
     assert op.block_parameters(0) == ((1.0, 0.5), (-1.0, -0.5))
     assert op.block_parameters(1) == ((-1.0, -0.5), (1.0, -0.5))
@@ -104,6 +88,33 @@ def test_odd_block_certificates(m):
     assert cert.parity == "odd"
     assert cert.max_abs_deviation <= 1e-13
     assert cert.cross_block_max == 0.0
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_block_certificates_catch_a_perturbed_block(monkeypatch, parity, rows, cols):
+    delta = 1e-6
+    exact = op.hankel_truncation
+
+    def perturbed(ell, n):
+        entries = exact(ell, n).entries.copy()
+        entries[rows + 2, cols + 4] += delta
+        return op.HankelTruncation(ell=ell, size=n, entries=entries)
+
+    monkeypatch.setattr(op, "hankel_truncation", perturbed)
+    if parity == "even":
+        cert = op.block_decompose_even(1, 8)
+        allowed = rows == cols
+    else:
+        cert = op.block_decompose_odd(1, 8)
+        allowed = rows != cols
+    if allowed:
+        # the odd-order rotation spreads the error over two blocks at half size
+        assert cert.max_abs_deviation >= 0.4 * delta
+        assert cert.cross_block_max == 0.0
+    else:
+        assert cert.cross_block_max >= delta
+        assert cert.max_abs_deviation <= 1e-13
 
 
 def test_block_decompose_validation():
