@@ -17,22 +17,6 @@ from .kernels import (
     q_term,
     symbol_psi_ell,
 )
-from .operators import (
-    BlockCertificate,
-    HankelTruncation,
-    HilbertTypeMatrix,
-    JACOBI_BACKEND,
-    SpectrumReport,
-    block_decompose_even,
-    block_decompose_odd,
-    block_parameters,
-    fourier_coefficient,
-    hankel_truncation,
-    hilbert_type,
-    max_truncation_size,
-    spectrum_report,
-    symm_eigen,
-)
 from .quadrature import (
     QuadratureBudgetError,
     QuadratureResult,
@@ -116,3 +100,13 @@ __all__ = [
     "symbol_psi_ell",
     "symm_eigen",
 ]
+
+
+def __getattr__(name):
+    # The exported names not bound above are those of operators, the one
+    # module that imports NumPy; it is loaded on the first use of one.
+    if name in __all__:
+        from . import operators
+
+        return getattr(operators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,6 +1,9 @@
 """Command-line surface: kernel tables, verification suites, truncation
 spectra, densities and block certificates, emitted as CSV or JSON.
 
+Only the commands that build a matrix (spectrum, blocks and the operators
+and spectral verify suites) import ``operators``, and with it NumPy.
+
 Exit codes: 0 success, 1 a verification check failed, 2 configuration
 error, 3 numerical failure. Output for a fixed configuration is
 byte-identical across runs; when --out is given the file is written
@@ -16,7 +19,7 @@ import os
 import sys
 import tempfile
 
-from . import kernels, operators, quadrature, spectral
+from . import kernels, quadrature, spectral
 from .combinatorics import alternating_factorial_identity, sum_identity
 from .specfun import L_MAX
 
@@ -141,6 +144,8 @@ def cmd_density(args):
 def cmd_spectrum(args):
     if args.ell is None or args.size is None:
         raise ValueError("spectrum requires --ell and --size")
+    from . import operators
+
     report = operators.spectrum_report(args.ell, args.size)
     summary = {
         "command": "spectrum",
@@ -176,6 +181,8 @@ def cmd_blocks(args):
         raise ValueError("blocks requires --ell and --size")
     if not 0 <= args.ell <= L_MAX:
         raise ValueError(f"blocks: ell = {args.ell} outside [0, {L_MAX}]")
+    from . import operators
+
     m = args.ell // 2
     if args.ell % 2 == 0:
         certificate = operators.block_decompose_even(m, args.size)
@@ -304,6 +311,8 @@ def _suite_kernels(tol):
 
 
 def _suite_operators(tol):
+    from . import operators
+
     worst_cert = 0.0
     worst_cross = 0.0
     for m in range(4):
@@ -341,6 +350,8 @@ def _suite_operators(tol):
 
 
 def _suite_spectral(tol):
+    from . import operators
+
     worst_p0 = 0.0
     worst_ph = 0.0
     for lam in (0.01, 0.1, 1.0, 4.0, 25.0):

@@ -108,6 +108,8 @@ def k_conv(ell, x, tol=1e-10):
     """
     if not 0 <= ell <= L_MAX:
         raise ValueError(f"k_conv: ell = {ell} outside [0, {L_MAX}]")
+    if not math.isfinite(x):
+        raise ValueError(f"k_conv: x = {x} must be finite")
     if ell == 0:
         return KernelEvaluation(
             x=x, value=2.0 / math.pi * sinc(x), route="convolution", error_estimate=0.0
@@ -264,6 +266,8 @@ def k_closed(ell, x):
     """
     if not 1 <= ell <= L_MAX:
         raise ValueError(f"k_closed: ell = {ell} outside [1, {L_MAX}]")
+    if not math.isfinite(x):
+        raise ValueError(f"k_closed: x = {x} must be finite")
     if x < X_MIN_CLOSED:
         raise ValueError(
             f"k_closed: x = {x} below X_MIN_CLOSED = {X_MIN_CLOSED}; use k_conv"
@@ -308,6 +312,8 @@ def evaluate(ell, x, method="auto"):
         raise ValueError(f"evaluate: unknown method {method!r}")
     if not 0 <= ell <= L_MAX:
         raise ValueError(f"evaluate: ell = {ell} outside [0, {L_MAX}]")
+    if not math.isfinite(x):
+        raise ValueError(f"evaluate: x = {x} must be finite")
     if ell == 0 and method in ("auto", "closed"):
         return KernelEvaluation(
             x=x, value=2.0 / math.pi * sinc(x), route="closed", error_estimate=0.0

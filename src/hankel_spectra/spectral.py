@@ -38,12 +38,16 @@ class DiagonalizationDescriptor:
 def multiplier_h(lam):
     """h(lambda) = pi / cosh(pi sqrt(lambda)), strictly decreasing from pi
     to 0 on (0, infinity)."""
+    if not math.isfinite(lam):
+        raise ValueError(f"multiplier_h: lambda = {lam} must be finite")
     if lam <= 0.0:
         raise ValueError(f"multiplier_h: lambda = {lam} must be positive")
     return math.pi / math.cosh(math.pi * math.sqrt(lam))
 
 
 def _density_value(p, lam):
+    if not (math.isfinite(p) and math.isfinite(lam)):
+        raise ValueError(f"density_rho: p = {p} and lambda = {lam} must be finite")
     if lam <= 0.0:
         raise ValueError(f"density_rho: lambda = {lam} must be positive")
     if p > 0.5:
@@ -60,7 +64,7 @@ def density_rho(p, lam):
 
     Defined for lambda > 0 only; the value is a raw (unnormalized)
     density and grows exponentially in sqrt(lambda), so the sinh factor
-    overflows past lambda of roughly 5e4.
+    overflows past lambda = (asinh(DBL_MAX) / 2 pi)^2, about 1.28e4.
     """
     return SpectralDensityPoint(p=p, lam=lam, rho=_density_value(p, lam))
 

@@ -222,3 +222,30 @@ def test_module_runs_without_installation():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("lambda,rho,h")
+
+
+_NUMPY_FREE_START = """
+import contextlib, io, sys
+from hankel_spectra import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+run("kernel", "--ell", "2", "--xmin", "0.05", "--xmax", "5", "--num", "4")
+run("density", "--p", "-0.5", "--lambda-min", "0.1", "--lambda-max", "25", "--num", "4")
+for suite in ("identities", "fourier", "kernels"):
+    run("verify", "--suite", suite)
+assert "numpy" not in sys.modules, "a scalar command imported numpy"
+run("blocks", "--ell", "2", "--size", "8")
+assert "numpy" in sys.modules, "blocks ran without numpy"
+"""
+
+
+def test_scalar_commands_start_without_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_START], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr

@@ -205,6 +205,23 @@ def test_evaluate_validation():
         evaluate(1, 1.0, method="magic")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda x: evaluate(0, x),
+        lambda x: evaluate(1, x),
+        lambda x: evaluate(2, x, method="oracle"),
+        lambda x: k_closed(2, x),
+        lambda x: k_conv(1, x),
+    ],
+    ids=["evaluate-sinc", "evaluate-auto", "evaluate-oracle", "k_closed", "k_conv"],
+)
+def test_non_finite_x_is_rejected(route, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        route(bad)
+
+
 def test_lp_diagnostic_basic():
     value = lp_diagnostic(1, 1.0, 10.0)
     assert math.isfinite(value)

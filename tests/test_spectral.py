@@ -70,6 +70,22 @@ def test_density_validation():
         density_rho(0.0, -2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        multiplier_h,
+        lambda v: density_rho(0.0, v),
+        lambda v: density_rho(v, 1.0),
+        lambda v: diagonalization_of(3).blocks[0].density(v),
+    ],
+    ids=["multiplier_h", "density-lambda", "density-p", "descriptor-density"],
+)
+def test_non_finite_arguments_are_rejected(call, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        call(bad)
+
+
 def test_diagonalization_descriptor_examples():
     d0 = diagonalization_of(0)
     assert isinstance(d0, DiagonalizationDescriptor)
