@@ -2,11 +2,14 @@
 
 Four independent evaluations coexist here. The Fourier building blocks
 (fourier_xi_pow, fourier_psi_tilde) feed the convolution route k_conv;
-the fully explicit route k_closed assembles exponential-integral terms
-(p_term, q_term); fourier_symbol_oracle from the quadrature module is
-the slow reference; and k_asymptotic is the large-x limit shape. Their
-mutual agreement is the package's main correctness argument, so none of
-them is allowed to call into another's machinery.
+the fully explicit route k_closed sums exponential-integral terms
+(p_term, q_term), collapsed once per order into an exact linear form
+over A(x) x^k, sin(x) x^k, cos(x) x^k and sinc derivatives, with
+p_term and q_term kept as its term-by-term reference;
+fourier_symbol_oracle from the quadrature module is the slow reference;
+and k_asymptotic is the large-x limit shape. Their mutual agreement is
+the package's main correctness argument, so none of them is allowed to
+call into another's machinery.
 """
 
 import cmath
@@ -24,7 +27,7 @@ X_MIN_CLOSED = 1e-3
 _SQRT_8_OVER_PI = math.sqrt(8.0 / math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelEvaluation:
     x: float
     value: float
@@ -183,86 +186,123 @@ def _poly_block(sign, m, n, j_max, x, ab):
     return total
 
 
-def _check_sign(sign):
+def _check_term_args(name, sign, x):
     if sign not in ("-", "+"):
         raise ValueError(f"sign must be '-' or '+', got {sign!r}")
-
-
-def _p_term_with(sign, m, n, x, ab):
-    return _poly_block(sign, m, n, n, x, ab)
-
-
-def _q_term_with(sign, m, n, x, ab):
-    if sign == "-":
-        boundary = 0.0
-        for s in range(n - m):
-            piece = math.factorial(n - s - 1) // math.factorial(n - m - s - 1)
-            if s % 2 == 1:
-                piece = -piece
-            boundary += piece * sinc_derivative(s, x)
-        if (n - m - 1) % 2 == 1:
-            boundary = -boundary
-    else:
-        boundary = 0.0
-        for s in range(n - m):
-            boundary += math.factorial(n - s - 1) // math.factorial(
-                n - m - s - 1
-            ) * sinc_derivative(s, x)
-        if (m + 1) % 2 == 1:
-            boundary = -boundary
-    return boundary + _poly_block(sign, m, n, m, x, ab)
+    if not math.isfinite(x):
+        raise ValueError(f"{name}: x = {x} must be finite")
+    if x <= 0.0:
+        raise ValueError(f"{name}: x = {x} must be positive")
 
 
 def p_term(sign, m, n, x):
     """Closed form of the integral of y^m e^(-y) sinc^(n)(x -+ y) over
-    (0, inf) in the regime n <= m."""
-    _check_sign(sign)
+    (0, inf) in the regime n <= m.
+
+    Evaluated term by term; k_closed uses the same algebra collapsed once
+    per order, and this stays as its reference."""
     if not 0 <= n <= m <= L_MAX - 1:
         raise ValueError(f"p_term: need 0 <= n <= m <= {L_MAX - 1}, got m={m}, n={n}")
-    if x <= 0.0:
-        raise ValueError(f"p_term: x = {x} must be positive")
+    _check_term_args("p_term", sign, x)
     ab = _a_value(x) if sign == "-" else _b_value(x)
-    return _p_term_with(sign, m, n, x, ab)
+    return _poly_block(sign, m, n, n, x, ab)
 
 
 def q_term(sign, m, n, x):
     """Closed form of the same integral in the regime n > m, where the
     repeated integrations by parts leave extra sinc-derivative boundary
-    terms at the origin."""
-    _check_sign(sign)
+    terms at the origin. Term by term, like p_term."""
     if not (0 <= m <= L_MAX - 1 and m < n <= 2 * L_MAX):
         raise ValueError(
             f"q_term: need 0 <= m <= {L_MAX - 1} and m < n <= {2 * L_MAX}, "
             f"got m={m}, n={n}"
         )
-    if x <= 0.0:
-        raise ValueError(f"q_term: x = {x} must be positive")
+    _check_term_args("q_term", sign, x)
+    boundary = 0.0
+    for s in range(n - m):
+        piece = math.factorial(n - s - 1) // math.factorial(n - m - s - 1)
+        if sign == "-" and s % 2 == 1:
+            piece = -piece
+        boundary += piece * sinc_derivative(s, x)
+    flip = (n - m - 1) % 2 if sign == "-" else (m + 1) % 2
+    if flip:
+        boundary = -boundary
     ab = _a_value(x) if sign == "-" else _b_value(x)
-    return _q_term_with(sign, m, n, x, ab)
+    return boundary + _poly_block(sign, m, n, m, x, ab)
 
 
 @lru_cache(maxsize=None)
-def _closed_weights(ell):
-    # (-1)^n C(2 ell, n) (2^m/m!) C(2 ell - m - 2, ell - 1), exact, then
-    # converted to float once.
-    rows = []
+def _closed_form(ell):
+    # The whole (m, n) sum of p/q terms behind k_closed, weighted by
+    # (-1)^n C(2 ell, n) (2^m/m!) C(2 ell - m - 2, ell - 1) / 2^(2 ell - 2),
+    # collapsed in exact arithmetic into coefficients of A x^k, sin(x) x^k,
+    # cos(x) x^k (k < ell) and sinc^(s)(x) (s < 2 ell). The sums over n
+    # are taken first, per (m, j), so the expansion costs O(ell^3). The
+    # '+' terms' polynomial blocks carry sum_n (-1)^n C(2 ell, n) C(n, j),
+    # which is zero for j < 2 ell, so B and their trig terms drop out and
+    # only their sinc boundary terms remain. The trig factors expand as
+    # 2^(-r/2) sin(r pi/4 - x) = Im(w^r) cos x - Re(w^r) sin x with
+    # w = (1+i)/2.
+    def sign(k):
+        return -1 if k % 2 else 1
+
+    rot = [(Fraction(1), Fraction(0))]  # (Re w^r, Im w^r)
+    for _ in range(ell):
+        re, im = rot[-1]
+        rot.append(((re - im) / 2, (re + im) / 2))
+    poly = [[Fraction(0)] * 3 for _ in range(ell)]  # rows k: A, sin, cos
+    sincs = [Fraction(0)] * (2 * ell)
+    alternating = [sign(n) * math.comb(2 * ell, n) for n in range(2 * ell + 1)]
     for m in range(ell):
-        base = Fraction(2**m, math.factorial(m)) * math.comb(2 * ell - m - 2, ell - 1)
-        row = []
-        for n in range(2 * ell + 1):
-            w = base * math.comb(2 * ell, n)
-            row.append(float(-w if n % 2 == 1 else w))
-        rows.append(tuple(row))
-    return tuple(rows)
+        # the weight's n-independent factor; the sums over n stay integral
+        base = Fraction(
+            2**m * math.comb(2 * ell - m - 2, ell - 1),
+            math.factorial(m) * 2 ** (2 * ell - 2),
+        )
+        for j in range(m + 1):
+            fall = math.factorial(m) // math.factorial(m - j)
+            minus = base * fall * sum(
+                a * math.comb(n, j) * sign(n - j) for n, a in enumerate(alternating)
+            )
+            poly[m - j][0] += minus
+            for r in range(1, m - j + 1):
+                re, im = rot[r]
+                lead = math.factorial(r - 1) * minus
+                poly[m - j - r][1] -= lead * re
+                poly[m - j - r][2] += lead * im
+        for s in range(2 * ell - m):
+            # '-' and '+' boundary terms together
+            sincs[s] += base * sum(
+                alternating[n]
+                * (math.factorial(n - s - 1) // math.factorial(n - m - s - 1))
+                * (sign(n - m - 1 + s) + sign(m + 1))
+                for n in range(m + s + 1, 2 * ell + 1)
+            )
+    return (
+        tuple(tuple(float(c) for c in row) for row in poly),
+        tuple((s, float(c)) for s, c in enumerate(sincs) if c),
+    )
 
 
 def k_closed(ell, x):
     """Kernel value through the explicit exponential-integral formula.
 
-    Below X_MIN_CLOSED the logarithmic singularities of the individual
-    E1 terms only cancel across the whole (m, n) sum and double precision
-    loses the value; that region is k_conv's job. The error estimate is
-    rounding noise scaled by the total absolute mass of the sum.
+    The sum of p_term/q_term pieces over (m, n) is a fixed rational linear
+    combination of A(x) x^k, sin(x) x^k, cos(x) x^k (k < ell) and sinc
+    derivatives, with A the damped sinc integral behind the E1(-x + ix)
+    terms; the E1(x + ix) terms cancel exactly. Its coefficients are
+    expanded once per order in exact arithmetic (on first use, then
+    cached), and the boundary terms cancel down to a single multiple of
+    sinc(x). A call costs one e1_scaled call, one Horner pass over the
+    three polynomials and the sinc derivatives whose coefficient is not
+    zero.
+
+    Below X_MIN_CLOSED the logarithmic singularity of A only cancels
+    across the whole sum and double precision loses the value; that
+    region is k_conv's job. At large x the polynomial terms grow like
+    x^(ell-1) and cancel to a value of order 1/x. The error estimate is
+    rounding noise scaled by the total absolute mass of the collapsed
+    sum, so it grows with that cancellation.
     """
     if not 1 <= ell <= L_MAX:
         raise ValueError(f"k_closed: ell = {ell} outside [1, {L_MAX}]")
@@ -272,26 +312,26 @@ def k_closed(ell, x):
         raise ValueError(
             f"k_closed: x = {x} below X_MIN_CLOSED = {X_MIN_CLOSED}; use k_conv"
         )
-    a = _a_value(x)
-    b = _b_value(x)
-    weights = _closed_weights(ell)
+    poly, sincs = _closed_form(ell)
+    basis = (_a_value(x), math.sin(x), math.cos(x))
     total = 0.0
     abs_mass = 0.0
-    for m in range(ell):
-        for n in range(2 * ell + 1):
-            if n <= m:
-                term = _p_term_with("-", m, n, x, a) + _p_term_with("+", m, n, x, b)
-            else:
-                term = _q_term_with("-", m, n, x, a) + _q_term_with("+", m, n, x, b)
-            contribution = weights[m][n] * term
-            total += contribution
-            abs_mass += abs(contribution)
-    prefactor = 1.0 / (math.pi * 2.0 ** (2 * ell - 2))
+    for row in reversed(poly):
+        total *= x
+        abs_mass *= x
+        for coef, value in zip(row, basis):
+            term = coef * value
+            total += term
+            abs_mass += abs(term)
+    for s, coef in sincs:
+        term = coef * sinc_derivative(s, x)
+        total += term
+        abs_mass += abs(term)
     return KernelEvaluation(
         x=x,
-        value=prefactor * total,
+        value=total / math.pi,
         route="closed",
-        error_estimate=prefactor * abs_mass * 5e-16,
+        error_estimate=abs_mass / math.pi * 5e-16,
     )
 
 
@@ -299,6 +339,8 @@ def k_asymptotic(ell, x):
     """Leading large-x shape (2/pi) sin(x - ell pi/2)/x."""
     if not 0 <= ell <= L_MAX:
         raise ValueError(f"k_asymptotic: ell = {ell} outside [0, {L_MAX}]")
+    if not math.isfinite(x):
+        raise ValueError(f"k_asymptotic: x = {x} must be finite")
     if x == 0.0:
         raise ValueError("k_asymptotic: undefined at x = 0")
     return 2.0 / math.pi * math.sin(x - 0.5 * ell * math.pi) / x

@@ -34,6 +34,8 @@ _SINC_SERIES_LIMIT = 10.0
 
 def sinc(x):
     """sin(x)/x with the removable singularity filled in."""
+    if not math.isfinite(x):
+        raise ValueError(f"sinc: x = {x} must be finite")
     if x == 0.0:
         return 1.0
     return math.sin(x) / x
@@ -78,6 +80,8 @@ def sinc_derivative(n, x):
         raise ValueError(
             f"sinc_derivative: order {n} outside [0, {SINC_ORDER_MAX}]"
         )
+    if not math.isfinite(x):
+        raise ValueError(f"sinc_derivative: x = {x} must be finite")
     if n == 0:
         return sinc(x)
     if abs(x) < _SINC_SERIES_LIMIT:
@@ -146,6 +150,8 @@ def _e1_cf_scaled(z):
 def ein(z):
     """Entire complementary exponential integral Ein(z)."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"ein: z = {z!r} must be finite")
     if _use_series(z):
         return _ein_series(z)
     # Off the cut and away from the origin: recover Ein from the scaled
@@ -156,6 +162,8 @@ def ein(z):
 def e1(z):
     """Principal-branch exponential integral E1(z), z not on (-inf, 0]."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"e1: z = {z!r} must be finite")
     if _on_cut(z):
         raise ValueError(f"e1: {z!r} lies on the branch cut (-inf, 0]")
     if _use_series(z):
@@ -166,6 +174,8 @@ def e1(z):
 def e1_scaled(z):
     """exp(z) * E1(z) without forming exp(z), z not on (-inf, 0]."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"e1_scaled: z = {z!r} must be finite")
     if _on_cut(z):
         raise ValueError(f"e1_scaled: {z!r} lies on the branch cut (-inf, 0]")
     if _use_series(z):
@@ -207,6 +217,8 @@ def gamma_abs_sq(p, y):
     |Gamma(w+1)|^2 / |w|^2 until Re w >= 10, then applies the Stirling
     series for log Gamma.
     """
+    if not (math.isfinite(p) and math.isfinite(y)):
+        raise ValueError(f"gamma_abs_sq: p = {p}, y = {y} must be finite")
     if p > 0.5:
         raise ValueError(f"gamma_abs_sq: p = {p} exceeds 1/2")
     if y <= 0.0:
@@ -229,6 +241,8 @@ def damped_moment_shifted(n, a, x):
     if n < 0:
         raise ValueError(f"damped_moment_shifted: n = {n} must be >= 0")
     a = complex(a)
+    if not (cmath.isfinite(a) and math.isfinite(x)):
+        raise ValueError(f"damped_moment_shifted: a = {a!r}, x = {x} must be finite")
     if a.real <= 0.0:
         raise ValueError(f"damped_moment_shifted: Re a = {a.real} must be > 0")
     if x <= 0.0:
@@ -263,6 +277,8 @@ def damped_trig_moment(m, x, kind):
     """
     if not 0 <= m <= 2 * L_MAX:
         raise ValueError(f"damped_trig_moment: m = {m} outside [0, {2 * L_MAX}]")
+    if not math.isfinite(x):
+        raise ValueError(f"damped_trig_moment: x = {x} must be finite")
     if kind == "sin":
         t = math.sin(x)
     elif kind == "cos":

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from hankel_spectra.kernels import (
@@ -18,8 +19,21 @@ from hankel_spectra.kernels import (
     q_term,
     symbol_psi_ell,
 )
-from hankel_spectra.quadrature import _poly_symbol_reference, _xi_pow_reference
-from hankel_spectra.specfun import sinc, sinc_derivative
+from hankel_spectra.quadrature import (
+    _poly_symbol_reference,
+    _xi_pow_reference,
+    fourier_symbol_oracle,
+)
+from hankel_spectra.specfun import (
+    damped_moment_shifted,
+    damped_trig_moment,
+    e1,
+    e1_scaled,
+    ein,
+    gamma_abs_sq,
+    sinc,
+    sinc_derivative,
+)
 
 
 def test_symbol_is_unimodular_times_two_on_support():
@@ -119,6 +133,49 @@ def test_routes_agree_at_closed_form_boundary(ell):
     assert k_closed(ell, x).value == pytest.approx(k_conv(ell, x).value, abs=1e-8)
 
 
+def _term_by_term_closed(ell, x):
+    # The explicit formula as a plain sum over (m, n) of the p/q terms with
+    # weights (-1)^n C(2 ell, n) (2^m/m!) C(2 ell - m - 2, ell - 1).
+    total = 0.0
+    for m in range(ell):
+        for n in range(2 * ell + 1):
+            weight = (
+                (-1) ** n
+                * math.comb(2 * ell, n)
+                * 2**m
+                / math.factorial(m)
+                * math.comb(2 * ell - m - 2, ell - 1)
+            )
+            term = p_term if n <= m else q_term
+            total += weight * (term("-", m, n, x) + term("+", m, n, x))
+    return total / (math.pi * 2.0 ** (2 * ell - 2))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_closed_form_matches_term_by_term_sum(ell):
+    for i in range(12):
+        x = 0.1 * 100.0 ** (i / 11)
+        assert k_closed(ell, x).value == pytest.approx(_term_by_term_closed(ell, x), abs=1e-12)
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_closed_error_estimate_covers_the_oracle_miss(ell):
+    # 1e-12 is the oracle's own error estimate.
+    for x in (0.1, 0.3, 1.0, 3.0, 9.9, 20.0, 60.0, 200.0, 1000.0):
+        record = k_closed(ell, x)
+        miss = abs(record.value - fourier_symbol_oracle(ell, x))
+        assert miss <= record.error_estimate + 1e-12, (x, miss, record.error_estimate)
+
+
+@given(ell=st.integers(1, 8), x=st.floats(0.1, 50.0))
+@settings(max_examples=25, deadline=None)
+def test_closed_and_convolution_routes_agree_within_estimates(ell, x):
+    closed = k_closed(ell, x)
+    conv = k_conv(ell, x)
+    bound = closed.error_estimate + conv.error_estimate + 1e-10
+    assert abs(closed.value - conv.value) <= bound
+
+
 def test_evaluate_route_selection():
     assert evaluate(1, 0.05).route == "convolution"
     assert evaluate(1, 0.5).route == "closed"
@@ -132,6 +189,15 @@ def test_evaluate_returns_populated_record():
     assert record.x == 1.5
     assert record.error_estimate >= 0.0
     assert math.isfinite(record.value)
+
+
+def test_kernel_evaluation_is_a_slotted_value():
+    record = evaluate(1, 1.0)
+    assert not hasattr(record, "__dict__")
+    assert record == KernelEvaluation(
+        x=record.x, value=record.value, route="closed", error_estimate=record.error_estimate
+    )
+    assert hash(record) == hash(evaluate(1, 1.0))
 
 
 def test_kernel_values_stay_inside_symbol_bound():
@@ -214,8 +280,40 @@ def test_evaluate_validation():
         lambda x: evaluate(2, x, method="oracle"),
         lambda x: k_closed(2, x),
         lambda x: k_conv(1, x),
+        lambda x: k_asymptotic(1, x),
+        lambda x: p_term("+", 1, 0, x),
+        lambda x: q_term("-", 0, 2, x),
+        lambda x: sinc(x),
+        lambda x: sinc_derivative(2, x),
+        lambda x: e1(x),
+        lambda x: e1_scaled(complex(1.0, x)),
+        lambda x: ein(x),
+        lambda x: gamma_abs_sq(x, 1.0),
+        lambda x: gamma_abs_sq(0.0, x),
+        lambda x: damped_moment_shifted(2, x, 1.0),
+        lambda x: damped_moment_shifted(2, 1.0, x),
+        lambda x: damped_trig_moment(2, x, "sin"),
     ],
-    ids=["evaluate-sinc", "evaluate-auto", "evaluate-oracle", "k_closed", "k_conv"],
+    ids=[
+        "evaluate-sinc",
+        "evaluate-auto",
+        "evaluate-oracle",
+        "k_closed",
+        "k_conv",
+        "k_asymptotic",
+        "p_term",
+        "q_term",
+        "sinc",
+        "sinc_derivative",
+        "e1",
+        "e1_scaled",
+        "ein",
+        "gamma_abs_sq-p",
+        "gamma_abs_sq-y",
+        "damped_moment_shifted-a",
+        "damped_moment_shifted-x",
+        "damped_trig_moment",
+    ],
 )
 def test_non_finite_x_is_rejected(route, bad):
     with pytest.raises(ValueError, match="must be finite"):
