@@ -6,6 +6,12 @@ this module is a finite algebraic fact and the certificates measure pure
 floating-point noise, not discretization error. The eigensolver is a
 hand-rolled cyclic Jacobi, compiled when the extension built, with a
 pure-Python twin as fallback.
+
+Every matrix built here depends only on row + col, so it is stored as its
+2N - 1 anti-diagonal values: ``entries`` of a truncation or Hilbert-type
+matrix is a read-only (N, N) Hankel window over them
+(``sliding_window_view``), and entries[i, j] is value i + j. It reads
+like any array; a caller who wants to write to it copies it first.
 """
 
 import math
@@ -96,30 +102,42 @@ def fourier_coefficient(k):
     return -value if ((k - 1) // 2) % 2 else value
 
 
+def _hankel_window(diagonal, n):
+    """The read-only (n, n) view with entry (row, col) = diagonal[row + col]."""
+    return np.lib.stride_tricks.sliding_window_view(diagonal, n)
+
+
 def hankel_truncation(ell, n):
-    """The N x N compression with entry (row, col) = c_{row+col+ell+1}."""
+    """The N x N compression with entry (row, col) = c_{row+col+ell+1}.
+
+    ``entries`` is a read-only Hankel window over the 2N - 1 coefficients
+    c_{ell+1}, ..., c_{2N+ell-1}; copy it before writing to it.
+    """
     if not 0 <= ell <= L_MAX:
         raise ValueError(f"hankel_truncation: ell = {ell} outside [0, {L_MAX}]")
     _check_size(n)
-    top = 2 * (n - 1) + ell + 1
-    coeffs = np.zeros(top + 1)
-    for s in range(1, top + 1):
-        coeffs[s] = fourier_coefficient(s)
-    idx = np.add.outer(np.arange(n), np.arange(n)) + ell + 1
-    return HankelTruncation(ell=ell, size=n, entries=coeffs[idx])
+    diagonal = np.array([fourier_coefficient(s + ell + 1) for s in range(2 * n - 1)])
+    return HankelTruncation(ell=ell, size=n, entries=_hankel_window(diagonal, n))
 
 
 def hilbert_type(p, n, alternating):
     """Entry (row, col) = 1/(1 + row + col - p), optionally with the
-    (-1)^(row+col) sign checkerboard."""
+    (-1)^(row+col) sign checkerboard.
+
+    ``entries`` is a read-only Hankel window over the 2N - 1 values
+    1/(1 + s - p), s = 0 .. 2N - 2; copy it before writing to it.
+    """
+    if not math.isfinite(p):
+        raise ValueError(f"hilbert_type: p = {p} must be finite")
     if p > 0.5:
         raise ValueError(f"hilbert_type: p = {p} must be <= 1/2")
     _check_size(n)
-    entries = 1.0 / (1.0 + np.add.outer(np.arange(n), np.arange(n)) - p)
+    diagonal = 1.0 / (1.0 + np.arange(2 * n - 1) - p)
     if alternating:
-        signs = alternating_signs(n)
-        entries = entries * np.outer(signs, signs)
-    return HilbertTypeMatrix(p=p, size=n, alternating=bool(alternating), entries=entries)
+        diagonal *= alternating_signs(2 * n - 1)
+    return HilbertTypeMatrix(
+        p=p, size=n, alternating=bool(alternating), entries=_hankel_window(diagonal, n)
+    )
 
 
 def alternating_signs(n):
@@ -144,6 +162,26 @@ def block_parameters(ell):
     return ((-sign, -0.5 - m), (sign, -0.5 - m))
 
 
+def _sign_window(n):
+    """The (-1)^(row+col) checkerboard as a Hankel window."""
+    return _hankel_window(alternating_signs(2 * n - 1), n)
+
+
+def _scaled_target(sign, p, n):
+    """(sign/pi) times the Hilbert-type matrix with parameter p, scaled on
+    its 2n - 1 anti-diagonal values (the first row, then the rest of the
+    last column) rather than on n^2 entries."""
+    entries = hilbert_type(p, n, False).entries
+    diagonal = np.concatenate((entries[0], entries[1:, -1]))
+    return _hankel_window((sign / math.pi) * diagonal, n)
+
+
+def _max_deviation(block, target):
+    """max |block - target|, for a block the caller owns (it is overwritten)."""
+    block -= target
+    return np.abs(block, out=block).max()
+
+
 def block_decompose_even(m, n):
     """Certificate for the even-order block identity.
 
@@ -157,13 +195,11 @@ def block_decompose_even(m, n):
     _check_size(2 * n)
     big = hankel_truncation(2 * m, 2 * n).entries
     cross = max(np.abs(big[0::2, 1::2]).max(), np.abs(big[1::2, 0::2]).max())
-    signs = np.outer(alternating_signs(n), alternating_signs(n))
+    signs = _sign_window(n)
     (sign_even, p_even), (sign_odd, p_odd) = block_parameters(2 * m)
-    target_even = (sign_even / math.pi) * hilbert_type(p_even, n, False).entries
-    target_odd = (sign_odd / math.pi) * hilbert_type(p_odd, n, False).entries
     deviation = max(
-        np.abs(big[0::2, 0::2] * signs - target_even).max(),
-        np.abs(big[1::2, 1::2] * signs - target_odd).max(),
+        _max_deviation(big[0::2, 0::2] * signs, _scaled_target(sign_even, p_even, n)),
+        _max_deviation(big[1::2, 1::2] * signs, _scaled_target(sign_odd, p_odd, n)),
     )
     return BlockCertificate(
         parity="even",
@@ -191,14 +227,17 @@ def block_decompose_odd(m, n):
     _check_size(2 * n)
     big = hankel_truncation(2 * m + 1, 2 * n).entries
     cross = max(np.abs(big[0::2, 0::2]).max(), np.abs(big[1::2, 1::2]).max())
-    signs = np.outer(alternating_signs(n), alternating_signs(n))
+    signs = _sign_window(n)
     upper = big[0::2, 1::2] * signs
     lower = big[1::2, 0::2] * signs
     (sign_first, p_block), _ = block_parameters(2 * m + 1)
-    target = (sign_first / math.pi) * hilbert_type(p_block, n, False).entries
+    half_sum = upper + lower
+    half_sum /= 2.0
+    upper -= lower
+    upper /= 2.0
     deviation = max(
-        np.abs((upper + lower) / 2.0 - target).max(),
-        np.abs((upper - lower) / 2.0).max(),
+        _max_deviation(half_sum, _scaled_target(sign_first, p_block, n)),
+        np.abs(upper, out=upper).max(),
     )
     return BlockCertificate(
         parity="odd",
@@ -216,11 +255,15 @@ def symm_eigen(matrix, tol):
     at 1e-14 times the Frobenius norm, far below any practical tol; tol
     is validated as the caller's accuracy contract.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"symm_eigen: tol = {tol} must be finite")
     if tol <= 0.0:
         raise ValueError(f"symm_eigen: tol = {tol} must be positive")
     a = np.array(matrix, dtype=float, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"symm_eigen: expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("symm_eigen: matrix entries must be finite")
     scale = np.abs(a).max()
     if scale == 0.0:
         return np.zeros(a.shape[0])

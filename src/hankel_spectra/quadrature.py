@@ -106,6 +106,13 @@ def _gk15_panel(f, a, b):
     return resk * half, err
 
 
+def _check_tol(name, tol):
+    if not math.isfinite(tol):
+        raise ValueError(f"{name}: tol = {tol} must be finite")
+    if tol <= 0.0:
+        raise ValueError(f"{name}: tol = {tol} must be positive")
+
+
 def _combine(panels):
     # Deterministic combination: sort by left endpoint, sum in order.
     panels = sorted(panels, key=lambda p: p[0])
@@ -124,10 +131,11 @@ def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANE
     estimate) once max_panels panels exist and the tolerance is still out
     of reach.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integrate_adaptive: bounds [{a}, {b}] must be finite")
+    if not a < b:
         raise ValueError(f"integrate_adaptive: bad interval [{a}, {b}]")
-    if tol <= 0.0:
-        raise ValueError(f"integrate_adaptive: tol = {tol} must be positive")
+    _check_tol("integrate_adaptive", tol)
     points = [a, *sorted(p for p in set(breakpoints) if a < p < b), b]
     if len(points) - 1 > max_panels:
         raise ValueError(
@@ -170,8 +178,7 @@ def improper_damped(f, tol, breakpoints=(), degree=L_MAX):
     where that bound (with C = 1) drops below tol/10; the interior is
     always split at 0 and at any declared kinks.
     """
-    if tol <= 0.0:
-        raise ValueError(f"improper_damped: tol = {tol} must be positive")
+    _check_tol("improper_damped", tol)
     if not 0 <= degree <= 2 * L_MAX:
         raise ValueError(f"improper_damped: degree = {degree} outside [0, {2 * L_MAX}]")
     cut = 40.0 + degree * math.log(1.0 + degree)
@@ -193,6 +200,9 @@ def fourier_symbol_oracle(ell, x, tol=1e-13):
     """
     if not 0 <= ell <= L_MAX:
         raise ValueError(f"fourier_symbol_oracle: ell = {ell} outside [0, {L_MAX}]")
+    if not math.isfinite(x):
+        raise ValueError(f"fourier_symbol_oracle: x = {x} must be finite")
+    _check_tol("fourier_symbol_oracle", tol)
 
     def g(t):
         moebius = complex(1.0, t) / complex(1.0, -t)
@@ -218,24 +228,25 @@ def _xi_pow_reference(ell, w, tol=1e-11):
     The slow t^(-2 ell) decay is handled by moving two derivatives onto
     the algebraic factor, which turns the truncation error at cutoff T
     into O(T^(-2 ell - 1)/w^2); the w = 0 case instead maps the tail to
-    [0, 1/T] by inversion.
+    [0, 1/T] by inversion. Every integrand is even in t, so each is
+    integrated over [0, T] only, at half the tolerance, and doubled.
     """
     if not 1 <= ell <= L_MAX:
         raise ValueError(f"_xi_pow_reference: ell = {ell} outside [1, {L_MAX}]")
+    if not math.isfinite(w):
+        raise ValueError(f"_xi_pow_reference: w = {w} must be finite")
     norm = 1.0 / math.sqrt(2.0 * math.pi)
     u = abs(w)
     if u == 0.0:
         cut = 50.0
-        core = integrate_adaptive(
-            lambda t: (1.0 + t * t) ** (-ell), -cut, cut, tol / 2.0
-        )
+        core = integrate_adaptive(lambda t: (1.0 + t * t) ** (-ell), 0.0, cut, tol / 4.0)
         tail = integrate_adaptive(
             lambda v: v ** (2 * ell - 2) * (1.0 + v * v) ** (-ell),
             0.0,
             1.0 / cut,
             tol / 4.0,
         )
-        return norm * (core.value + 2.0 * tail.value)
+        return norm * 2.0 * (core.value + tail.value)
     cut = (4.0 * ell / (u * u * 1e-11)) ** (1.0 / (2 * ell + 1))
 
     def negated_second_derivative(t):
@@ -246,16 +257,16 @@ def _xi_pow_reference(ell, w, tol=1e-11):
 
     spacing = math.pi / u
     count = int(cut / spacing)
-    seeds = [k * spacing for k in range(-count, count + 1) if abs(k) * spacing < cut]
+    seeds = [k * spacing for k in range(1, count + 1)]
     core = integrate_adaptive(
         lambda t: negated_second_derivative(t) * math.cos(u * t),
-        -cut,
+        0.0,
         cut,
-        tol,
+        tol / 2.0,
         breakpoints=seeds,
-        max_panels=40_000,
+        max_panels=20_000,
     )
-    return norm * core.value / (u * u)
+    return norm * 2.0 * core.value / (u * u)
 
 
 def _poly_symbol_reference(ell, w, tol=1e-12):
@@ -264,6 +275,8 @@ def _poly_symbol_reference(ell, w, tol=1e-12):
     sinc-derivative closed form."""
     if not 0 <= ell <= L_MAX:
         raise ValueError(f"_poly_symbol_reference: ell = {ell} outside [0, {L_MAX}]")
+    if not math.isfinite(w):
+        raise ValueError(f"_poly_symbol_reference: w = {w} must be finite")
 
     def integrand(t):
         return 2.0 * complex(1.0, t) ** (2 * ell) * cmath.exp(complex(0.0, -t * w))

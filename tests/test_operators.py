@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,109 @@ def test_block_certificates_catch_a_perturbed_block(monkeypatch, parity, rows, c
     else:
         assert cert.cross_block_max >= delta
         assert cert.max_abs_deviation <= 1e-13
+
+
+def _dense_truncation(ell, n):
+    """The truncation as a dense index matrix gathered from the coefficients."""
+    coeffs = np.zeros(2 * n + ell)
+    for s in range(1, 2 * n + ell):
+        coeffs[s] = op.fourier_coefficient(s)
+    return coeffs[np.add.outer(np.arange(n), np.arange(n)) + ell + 1]
+
+
+def _dense_hilbert(p, n, alternating):
+    entries = 1.0 / (1.0 + np.add.outer(np.arange(n), np.arange(n)) - p)
+    if alternating:
+        signs = op.alternating_signs(n)
+        entries = entries * np.outer(signs, signs)
+    return entries
+
+
+def _dense_certificate(ell, n):
+    """(max deviation, cross-block max) computed on dense n x n blocks."""
+    big = _dense_truncation(ell, 2 * n)
+    signs = np.outer(op.alternating_signs(n), op.alternating_signs(n))
+    (sign_a, p_a), (sign_b, p_b) = op.block_parameters(ell)
+    target_a = (sign_a / math.pi) * _dense_hilbert(p_a, n, False)
+    if ell % 2 == 0:
+        cross = max(np.abs(big[0::2, 1::2]).max(), np.abs(big[1::2, 0::2]).max())
+        target_b = (sign_b / math.pi) * _dense_hilbert(p_b, n, False)
+        deviation = max(
+            np.abs(big[0::2, 0::2] * signs - target_a).max(),
+            np.abs(big[1::2, 1::2] * signs - target_b).max(),
+        )
+    else:
+        cross = max(np.abs(big[0::2, 0::2]).max(), np.abs(big[1::2, 1::2]).max())
+        upper = big[0::2, 1::2] * signs
+        lower = big[1::2, 0::2] * signs
+        deviation = max(
+            np.abs((upper + lower) / 2.0 - target_a).max(),
+            np.abs((upper - lower) / 2.0).max(),
+        )
+    return float(deviation).hex(), float(cross).hex()
+
+
+def _same_bits(window, dense):
+    return window.shape == dense.shape and (
+        np.ascontiguousarray(window).tobytes() == dense.tobytes()
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_truncations_are_read_only_windows_on_the_dense_values(n):
+    for ell in range(9):
+        entries = op.hankel_truncation(ell, n).entries
+        assert not entries.flags.writeable
+        assert _same_bits(entries, _dense_truncation(ell, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("alternating", [False, True])
+def test_hilbert_type_are_read_only_windows_on_the_dense_values(n, alternating):
+    for p in (0.5, -0.5, -2.5):
+        entries = op.hilbert_type(p, n, alternating).entries
+        assert not entries.flags.writeable
+        assert _same_bits(entries, _dense_hilbert(p, n, alternating))
+
+
+@pytest.mark.parametrize("n", [8, 33])
+@pytest.mark.parametrize("ell", range(9))
+def test_block_certificates_match_the_dense_computation_bit_for_bit(ell, n):
+    m = ell // 2
+    cert = op.block_decompose_even(m, n) if ell % 2 == 0 else op.block_decompose_odd(m, n)
+    got = (cert.max_abs_deviation.hex(), cert.cross_block_max.hex())
+    assert got == _dense_certificate(ell, n)
+
+
+@pytest.mark.parametrize("certify", [op.block_decompose_even, op.block_decompose_odd])
+def test_block_certificates_allocate_a_few_blocks_at_most(certify):
+    # a dense index matrix, a gathered truncation and dense targets cost
+    # 9-10 blocks of n^2 doubles; windows leave the products of the blocks
+    n = 512
+    tracemalloc.start()
+    try:
+        certify(1, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n * n * 8
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: op.symm_eigen(np.array([[math.nan, 0.0], [0.0, 1.0]]), 1e-10),
+        lambda: op.symm_eigen(np.array([[1.0, math.inf], [math.inf, 1.0]]), 1e-10),
+        lambda: op.symm_eigen(np.eye(2), math.nan),
+        lambda: op.symm_eigen(np.eye(2), math.inf),
+        lambda: op.hilbert_type(math.nan, 3, False),
+        lambda: op.hilbert_type(-math.inf, 3, True),
+    ],
+    ids=["nan-entry", "inf-entry", "nan-tol", "inf-tol", "nan-p", "minus-inf-p"],
+)
+def test_non_finite_input_is_rejected(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
 
 
 def test_block_decompose_validation():

@@ -136,3 +136,33 @@ def test_poly_symbol_reference_against_mpmath():
             mp.quad(lambda t: 2 * (1 + 1j * t) ** 4 * mp.exp(-1j * t * w), [-1, 0, 1])
         ).real / math.sqrt(2 * math.pi)
         assert _poly_symbol_reference(2, w) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_adaptive(math.exp, 0.0, 1.0, tol=math.nan),
+        lambda: integrate_adaptive(math.exp, 0.0, 1.0, tol=math.inf),
+        lambda: integrate_adaptive(math.exp, -math.inf, 1.0, tol=1e-10),
+        lambda: improper_damped(lambda y: math.exp(-abs(y)), tol=math.nan),
+        lambda: fourier_symbol_oracle(1, math.inf),
+        lambda: fourier_symbol_oracle(1, math.nan),
+        lambda: fourier_symbol_oracle(1, 1.0, tol=math.nan),
+        lambda: _xi_pow_reference(1, math.inf),
+        lambda: _poly_symbol_reference(1, math.nan),
+    ],
+    ids=[
+        "adaptive-nan-tol",
+        "adaptive-inf-tol",
+        "adaptive-inf-bound",
+        "damped-nan-tol",
+        "oracle-inf-x",
+        "oracle-nan-x",
+        "oracle-nan-tol",
+        "xi-pow-inf-w",
+        "poly-symbol-nan-w",
+    ],
+)
+def test_non_finite_input_is_rejected(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
