@@ -40,6 +40,7 @@ from .specfun import (
 from .spectral import (
     DiagonalizationDescriptor,
     SpectralDensityPoint,
+    block_parameters,
     density_rho,
     diagonalization_of,
     multiplier_h,

@@ -2,7 +2,7 @@
 spectra, densities and block certificates, emitted as CSV or JSON.
 
 Only the commands that build a matrix (spectrum, blocks and the operators
-and spectral verify suites) import ``operators``, and with it NumPy.
+verify suite) import ``operators``, and with it NumPy.
 
 Exit codes: 0 success, 1 a verification check failed, 2 configuration
 error, 3 numerical failure. Output for a fixed configuration is
@@ -350,8 +350,6 @@ def _suite_operators(tol):
 
 
 def _suite_spectral(tol):
-    from . import operators
-
     worst_p0 = 0.0
     worst_ph = 0.0
     for lam in (0.01, 0.1, 1.0, 4.0, 25.0):
@@ -371,7 +369,7 @@ def _suite_spectral(tol):
     worst_desc = 0.0
     for ell in range(L_MAX + 1):
         descriptor = spectral.diagonalization_of(ell)
-        for block, (sign, p) in zip(descriptor.blocks, operators.block_parameters(ell)):
+        for block, (sign, p) in zip(descriptor.blocks, spectral.block_parameters(ell)):
             worst_desc = max(
                 worst_desc,
                 abs(block.sign - sign),

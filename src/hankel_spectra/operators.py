@@ -7,6 +7,17 @@ floating-point noise, not discretization error. The eigensolver is a
 hand-rolled cyclic Jacobi, compiled when the extension built, with a
 pure-Python twin as fallback.
 
+``spectrum_report`` solves the parity blocks that the certificates prove,
+not the whole truncation. Entry (row, col) vanishes unless row + col + l
+is even, so after the permutation that lists even coordinates first the
+truncation is block diagonal for even l (two half-size solves), and for
+odd l it is [[0, U], [U, 0]] with U = entries[0::2, 1::2], whose
+eigenvalues are +/- those of U (one half-size solve, and the spectrum is
+exactly symmetric under negation). U is square only for even N; at odd
+N and odd l it is (k + 1) x k, and the one half-size route left, the
+square roots of eig(U^T U), squares the singular values and loses the
+small ones, so that case keeps the full-matrix solve.
+
 Every matrix built here depends only on row + col, so it is stored as its
 2N - 1 anti-diagonal values: ``entries`` of a truncation or Hilbert-type
 matrix is a read-only (N, N) Hankel window over them
@@ -21,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import L_MAX
+from .spectral import block_parameters
 
 try:
     from . import _jacobi as _jacobi_impl
@@ -34,6 +46,7 @@ except ImportError:
 DEFAULT_MAX_SIZE = 4096
 _MAX_SIZE_ENV = "HANKEL_SPECTRA_MAX_N"
 _JACOBI_MAX_SWEEPS = 50
+_SPECTRUM_TOL = 1e-10
 
 
 def max_truncation_size():
@@ -146,20 +159,6 @@ def alternating_signs(n):
     signs = np.ones(n)
     signs[1::2] = -1.0
     return signs
-
-
-def block_parameters(ell):
-    """The (sign, p) pairs of the two diagonal blocks that the parity
-    decomposition of the order-ell truncation produces (scale 1/pi each);
-    the first pair belongs to the even-coordinate (or post-rotation
-    first) block."""
-    if not 0 <= ell <= L_MAX:
-        raise ValueError(f"block_parameters: ell = {ell} outside [0, {L_MAX}]")
-    m = ell // 2
-    sign = 1.0 if m % 2 == 0 else -1.0
-    if ell % 2 == 0:
-        return ((sign, 0.5 - m), (-sign, -0.5 - m))
-    return ((-sign, -0.5 - m), (sign, -0.5 - m))
 
 
 def _sign_window(n):
@@ -287,12 +286,34 @@ def symm_eigen(matrix, tol):
     return values
 
 
+def _truncation_eigenvalues(ell, entries):
+    """Ascending eigenvalues of the order-ell truncation ``entries``,
+    solved through its parity blocks where they are square."""
+    n = entries.shape[0]
+    if ell % 2 == 0:
+        blocks = (entries[0::2, 0::2], entries[1::2, 1::2]) if n > 1 else (entries,)
+        return np.sort(
+            np.concatenate([symm_eigen(block, _SPECTRUM_TOL) for block in blocks])
+        )
+    if n % 2 == 0:
+        half = symm_eigen(entries[0::2, 1::2], _SPECTRUM_TOL)
+        return np.sort(np.concatenate((half, -half)))
+    return symm_eigen(entries, _SPECTRUM_TOL)
+
+
 def spectrum_report(ell, n):
     """Eigenvalues of the order-ell truncation plus two diagnostics: how
     far the spectrum pokes out of [-1, 1], and the largest eigenvalue gap
-    clipped to [-0.95, 0.95]."""
+    clipped to [-0.95, 0.95].
+
+    The eigenvalues come from the parity blocks (see the module
+    docstring): two solves of sizes ceil(N/2) and floor(N/2) for even ell,
+    one solve of size N/2 for odd ell at even N, whose spectrum is then
+    exactly symmetric (v[i] == -v[N-1-i]), and the full N x N solve for
+    odd ell at odd N, where the off-diagonal block is not square.
+    """
     truncation = hankel_truncation(ell, n)
-    eigenvalues = symm_eigen(truncation.entries, 1e-10)
+    eigenvalues = _truncation_eigenvalues(ell, truncation.entries)
     low = float(eigenvalues[0])
     high = float(eigenvalues[-1])
     violation = max(0.0, max(abs(low), abs(high)) - 1.0)

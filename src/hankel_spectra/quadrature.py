@@ -53,6 +53,7 @@ _WG = (
 
 _EVALS_PER_PANEL = 15
 DEFAULT_MAX_PANELS = 10_000
+_XI_POW_MAX_PANELS = 20_000
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,17 @@ def _combine(panels):
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
+def _check_seed_panels(count, max_panels):
+    # Callers that derive their breakpoints from a count check it here
+    # before building the list, so an oversized request fails before it
+    # allocates.
+    if count > max_panels:
+        raise ValueError(
+            f"integrate_adaptive: {count} seed panels exceed "
+            f"max_panels = {max_panels}"
+        )
+
+
 def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANELS):
     """Adaptively integrate f over the finite interval [a, b].
 
@@ -137,11 +149,7 @@ def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANE
         raise ValueError(f"integrate_adaptive: bad interval [{a}, {b}]")
     _check_tol("integrate_adaptive", tol)
     points = [a, *sorted(p for p in set(breakpoints) if a < p < b), b]
-    if len(points) - 1 > max_panels:
-        raise ValueError(
-            f"integrate_adaptive: {len(points) - 1} seed panels exceed "
-            f"max_panels = {max_panels}"
-        )
+    _check_seed_panels(len(points) - 1, max_panels)
     heap = []
     total_err = 0.0
     for u, v in zip(points, points[1:]):
@@ -210,6 +218,7 @@ def fourier_symbol_oracle(ell, x, tol=1e-13):
 
     width = math.pi / abs(x) if x != 0.0 else 2.0
     segments = max(1, math.ceil(2.0 / width))
+    _check_seed_panels(segments, DEFAULT_MAX_PANELS)
     cuts = [-1.0 + 2.0 * i / segments for i in range(1, segments)]
     result = integrate_adaptive(g, -1.0, 1.0, tol, breakpoints=cuts)
     value = result.value / (2.0 * math.pi)
@@ -257,6 +266,9 @@ def _xi_pow_reference(ell, w, tol=1e-11):
 
     spacing = math.pi / u
     count = int(cut / spacing)
+    # the seeds split [0, cut] into count + 1 panels, or count when the
+    # last one lands on cut itself
+    _check_seed_panels(count + (count * spacing < cut), _XI_POW_MAX_PANELS)
     seeds = [k * spacing for k in range(1, count + 1)]
     core = integrate_adaptive(
         lambda t: negated_second_derivative(t) * math.cos(u * t),
@@ -264,7 +276,7 @@ def _xi_pow_reference(ell, w, tol=1e-11):
         cut,
         tol / 2.0,
         breakpoints=seeds,
-        max_panels=20_000,
+        max_panels=_XI_POW_MAX_PANELS,
     )
     return norm * 2.0 * core.value / (u * u)
 
@@ -282,6 +294,7 @@ def _poly_symbol_reference(ell, w, tol=1e-12):
         return 2.0 * complex(1.0, t) ** (2 * ell) * cmath.exp(complex(0.0, -t * w))
 
     pieces = max(1, math.ceil(2.0 * abs(w) / math.pi))
+    _check_seed_panels(pieces, DEFAULT_MAX_PANELS)
     seeds = [-1.0 + 2.0 * k / pieces for k in range(1, pieces)]
     result = integrate_adaptive(integrand, -1.0, 1.0, tol, breakpoints=seeds)
     value = result.value / math.sqrt(2.0 * math.pi)

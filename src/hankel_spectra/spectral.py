@@ -4,7 +4,9 @@ diagonalization descriptor.
 Each operator in the family is unitarily equivalent to a direct sum of
 two multiplication operators by +/- h on weighted half-line spaces; the
 weight is rho_p for a parameter p determined by the order's parity. The
-descriptor records exactly that data.
+descriptor records exactly that data. ``block_parameters`` writes the
+same (sign, p) pairs as the table of the truncations' parity blocks, and
+the spectral verify suite checks that the two writings agree.
 """
 
 import math
@@ -67,6 +69,21 @@ def density_rho(p, lam):
     overflows past lambda = (asinh(DBL_MAX) / 2 pi)^2, about 1.28e4.
     """
     return SpectralDensityPoint(p=p, lam=lam, rho=_density_value(p, lam))
+
+
+def block_parameters(ell):
+    """The (sign, p) pairs of the two diagonal blocks that the parity
+    decomposition of the order-ell truncation produces (scale 1/pi each);
+    the first pair belongs to the even-coordinate (or post-rotation
+    first) block. ``operators`` certifies these blocks and re-exports
+    this table."""
+    if not 0 <= ell <= L_MAX:
+        raise ValueError(f"block_parameters: ell = {ell} outside [0, {L_MAX}]")
+    m = ell // 2
+    sign = 1.0 if m % 2 == 0 else -1.0
+    if ell % 2 == 0:
+        return ((sign, 0.5 - m), (-sign, -0.5 - m))
+    return ((-sign, -0.5 - m), (sign, -0.5 - m))
 
 
 def diagonalization_of(ell):

@@ -234,7 +234,7 @@ def run(*argv):
 
 run("kernel", "--ell", "2", "--xmin", "0.05", "--xmax", "5", "--num", "4")
 run("density", "--p", "-0.5", "--lambda-min", "0.1", "--lambda-max", "25", "--num", "4")
-for suite in ("identities", "fourier", "kernels"):
+for suite in ("identities", "fourier", "kernels", "spectral"):
     run("verify", "--suite", suite)
 assert "numpy" not in sys.modules, "a scalar command imported numpy"
 run("blocks", "--ell", "2", "--size", "8")

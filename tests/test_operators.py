@@ -345,6 +345,45 @@ def test_spectrum_report_is_deterministic():
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
+@pytest.mark.parametrize("ell", range(9))
+def test_spectrum_report_blocks_match_the_full_solve(ell, n):
+    # the full-matrix Jacobi solve and LAPACK stay the oracles for the
+    # parity-block path
+    values = np.asarray(op.spectrum_report(ell, n).eigenvalues)
+    entries = op.hankel_truncation(ell, n).entries
+    assert values.shape == (n,)
+    assert np.all(np.diff(values) >= 0.0)
+    full = np.sort(op.symm_eigen(entries, 1e-10))
+    assert np.max(np.abs(values - full)) < 1e-13
+    assert np.max(np.abs(values - np.linalg.eigvalsh(entries))) < 1e-13
+    if ell % 2 == 1 and n % 2 == 0:
+        assert np.array_equal(values, -values[::-1])
+
+
+@pytest.mark.parametrize(
+    "ell, n, shapes",
+    [
+        (0, 64, [(32, 32), (32, 32)]),
+        (1, 64, [(32, 32)]),
+        (0, 33, [(17, 17), (16, 16)]),
+        (1, 33, [(33, 33)]),
+        (2, 1, [(1, 1)]),
+    ],
+)
+def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
+    solved = []
+    solve = op.symm_eigen
+
+    def recording(matrix, tol):
+        solved.append(np.shape(matrix))
+        return solve(matrix, tol)
+
+    monkeypatch.setattr(op, "symm_eigen", recording)
+    op.spectrum_report(ell, n)
+    assert solved == shapes
+
+
 @pytest.mark.parametrize("p", [0.5, -0.5])
 def test_hilbert_type_spectrum_range(p):
     # true smallest eigenvalues sit below float resolution, so only a

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import pytest
@@ -49,6 +50,21 @@ def test_adaptive_is_deterministic():
     assert first.value == second.value
     assert first.evaluations == second.evaluations
     assert first.evaluations % 15 == 0
+
+
+@given(
+    breakpoints=st.lists(st.floats(-0.99, 0.99), max_size=8),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_adaptive_ignores_the_order_of_its_breakpoints(breakpoints, data):
+    def f(x):
+        return abs(x - 0.3) + math.sin(5.0 * x)
+
+    shuffled = data.draw(st.permutations(breakpoints))
+    first = integrate_adaptive(f, -1.0, 1.0, tol=1e-12, breakpoints=breakpoints)
+    second = integrate_adaptive(f, -1.0, 1.0, tol=1e-12, breakpoints=shuffled)
+    assert first == second
 
 
 def test_adaptive_breakpoints_handle_kinks():
@@ -166,3 +182,25 @@ def test_poly_symbol_reference_against_mpmath():
 def test_non_finite_input_is_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fourier_symbol_oracle(1, 1e6),
+        lambda: _poly_symbol_reference(1, 1e6),
+        lambda: _xi_pow_reference(1, 1e6),
+    ],
+    ids=["oracle", "poly-symbol", "xi-pow"],
+)
+def test_panel_budget_is_checked_before_the_seeds_are_built(call):
+    # at x = 1e6 the oscillation cuts alone would be a list of 636 620
+    # floats (tens of MB of peak allocation) before the budget check
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="seed panels exceed max_panels"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

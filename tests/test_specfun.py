@@ -119,6 +119,70 @@ def test_e1_identity_on_annulus():
             assert abs(lhs - rhs) <= 1e-11 * (1.0 + abs(lhs))
 
 
+def _assert_continuous_across(inside, outside):
+    """e1 and e1_scaled agree on the two sides of a branch boundary up to
+    the change of the function between the two points (|E1'| = |e^-z/z|,
+    |(e^z E1)'| = |e^z E1 - 1/z|) plus 1e-10 relative."""
+    step = abs(inside - outside)
+    for f, slope in (
+        (e1, lambda z: abs(cmath.exp(-z) / z)),
+        (e1_scaled, lambda z: abs(e1_scaled(z) - 1.0 / z)),
+    ):
+        a, b = f(inside), f(outside)
+        bound = 2.0 * step * max(slope(inside), slope(outside)) + 1e-10 * abs(b)
+        assert abs(a - b) <= bound, (f.__name__, inside, outside, abs(a - b), bound)
+
+
+_SIDE = 1e-12  # relative offset of the two points from the boundary
+
+
+@given(theta=st.floats(-0.999 * math.pi / 2, 0.999 * math.pi / 2))
+@settings(max_examples=200, deadline=None)
+def test_e1_is_continuous_across_radius_4(theta):
+    # in the right half-plane the series serves |z| <= 4, the continued
+    # fraction beyond it
+    ray = cmath.exp(1j * theta)
+    _assert_continuous_across(4.0 * (1.0 - _SIDE) * ray, 4.0 * (1.0 + _SIDE) * ray)
+
+
+@given(
+    theta=st.floats(1.001 * math.pi / 2, 0.999 * 5.0 * math.pi / 6),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_e1_is_continuous_across_radius_12(theta, sign):
+    # in the left half-plane, off the wide-argument sector, the series
+    # serves |z| <= 12
+    ray = cmath.exp(1j * sign * theta)
+    _assert_continuous_across(12.0 * (1.0 - _SIDE) * ray, 12.0 * (1.0 + _SIDE) * ray)
+
+
+@given(radius=st.floats(12.01, 60.0), sign=st.sampled_from((1.0, -1.0)))
+@settings(max_examples=200, deadline=None)
+def test_e1_is_continuous_across_the_wide_argument_sector(radius, sign):
+    # past |z| = 12 the series serves |arg z| > 5 pi / 6
+    edge = 5.0 * math.pi / 6.0
+    inside = radius * cmath.exp(1j * sign * edge * (1.0 + _SIDE))
+    outside = radius * cmath.exp(1j * sign * edge * (1.0 - _SIDE))
+    _assert_continuous_across(inside, outside)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=SINC_ORDER_MAX),
+    sign=st.sampled_from((1.0, -1.0)),
+    gap=st.floats(0.0, 1e-9),
+)
+@settings(max_examples=200, deadline=None)
+def test_sinc_derivative_is_continuous_across_radius_10(n, sign, gap):
+    # the series serves |x| < 10 and the Leibniz form |x| >= 10;
+    # |sinc^(n+1)| <= 1/(n+2) bounds the change between the two points
+    below = sign * math.nextafter(10.0 * (1.0 - gap), 0.0)
+    above = sign * 10.0 * (1.0 + gap)
+    step = abs(above - below)
+    change = abs(sinc_derivative(n, above) - sinc_derivative(n, below))
+    assert change <= step / (n + 2) + 1e-13
+
+
 def test_e1_scaled_tail_approaches_one_from_below():
     values = [x * complex(e1_scaled(x)).real for x in (1.0, 5.0, 10.0, 50.0, 200.0, 1000.0)]
     for left, right in zip(values, values[1:]):
