@@ -54,7 +54,6 @@ __all__ = [
     "EULER_GAMMA",
     "HankelTruncation",
     "HilbertTypeMatrix",
-    "JACOBI_BACKEND",
     "KernelEvaluation",
     "L_MAX",
     "QuadratureBudgetError",

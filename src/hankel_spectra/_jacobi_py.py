@@ -1,10 +1,9 @@
-"""Cyclic Jacobi eigenvalue sweeps, pure-Python fallback.
+"""Cyclic Jacobi eigenvalue sweeps in Python.
 
-Same algorithm as the compiled extension _jacobi: deterministic sweep
-order, fresh off-diagonal norm per sweep, rotations skipped only below
-threshold/(4 n^2) so that skipping everything already implies
-convergence. Row and column updates are vectorized with numpy but apply
-the identical scalar formulas.
+Deterministic sweep order, fresh off-diagonal norm per sweep, rotations
+skipped only below threshold/(4 n^2) so that skipping everything already
+implies convergence. Row and column updates are vectorized with numpy
+and apply the scalar rotation formulas.
 """
 
 import math

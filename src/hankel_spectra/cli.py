@@ -155,7 +155,6 @@ def cmd_spectrum(args):
         "max": report.max,
         "containment_violation": report.containment_violation,
         "coverage_gap": report.coverage_gap,
-        "backend": operators.JACOBI_BACKEND,
     }
     eigenvalues = [float(v) for v in report.eigenvalues]
     fmt = args.format or "csv"

@@ -4,8 +4,7 @@ The matrix model lives on sequence space: entry (n, k) of the order-l
 truncation is the Fourier coefficient c_{k+n+l+1}, so every identity in
 this module is a finite algebraic fact and the certificates measure pure
 floating-point noise, not discretization error. The eigensolver is a
-hand-rolled cyclic Jacobi, compiled when the extension built, with a
-pure-Python twin as fallback.
+hand-rolled cyclic Jacobi in Python over NumPy rows (``_jacobi_py``).
 
 ``spectrum_report`` solves the parity blocks that the certificates prove,
 not the whole truncation. Entry (row, col) vanishes unless row + col + l
@@ -31,22 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jacobi_py import jacobi_eigenvalues
 from .specfun import L_MAX
 from .spectral import block_parameters
-
-try:
-    from . import _jacobi as _jacobi_impl
-
-    JACOBI_BACKEND = "compiled"
-except ImportError:
-    from . import _jacobi_py as _jacobi_impl
-
-    JACOBI_BACKEND = "python"
 
 DEFAULT_MAX_SIZE = 4096
 _MAX_SIZE_ENV = "HANKEL_SPECTRA_MAX_N"
 _JACOBI_MAX_SWEEPS = 50
-_SPECTRUM_TOL = 1e-10
 
 
 def max_truncation_size():
@@ -247,17 +237,14 @@ def block_decompose_odd(m, n):
     )
 
 
-def symm_eigen(matrix, tol):
+def symm_eigen(matrix):
     """All eigenvalues of a symmetric matrix, ascending.
 
-    Cyclic Jacobi with a fixed sweep order and an off-diagonal-norm stop
-    at 1e-14 times the Frobenius norm, far below any practical tol; tol
-    is validated as the caller's accuracy contract.
+    Cyclic Jacobi with a fixed sweep order, stopped once the off-diagonal
+    norm is at most 1e-14 times the Frobenius norm; there is no accuracy
+    argument. The matrix must be square, finite and symmetric to 1e-12
+    relative to its largest entry.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"symm_eigen: tol = {tol} must be finite")
-    if tol <= 0.0:
-        raise ValueError(f"symm_eigen: tol = {tol} must be positive")
     a = np.array(matrix, dtype=float, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"symm_eigen: expected a square matrix, got shape {a.shape}")
@@ -272,12 +259,9 @@ def symm_eigen(matrix, tol):
             f"symm_eigen: symmetry deviation {asym:.3e} exceeds 1e-12 * {scale:.3e}"
         )
     a = (a + a.T) / 2.0
-    a = np.ascontiguousarray(a)
     fro = math.sqrt(float((a * a).sum()))
     threshold = 1e-14 * fro
-    values, sweeps, off = _jacobi_impl.jacobi_eigenvalues(
-        a, threshold, _JACOBI_MAX_SWEEPS
-    )
+    values, sweeps, off = jacobi_eigenvalues(a, threshold, _JACOBI_MAX_SWEEPS)
     if off > threshold:
         raise RuntimeError(
             f"symm_eigen: Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
@@ -292,13 +276,11 @@ def _truncation_eigenvalues(ell, entries):
     n = entries.shape[0]
     if ell % 2 == 0:
         blocks = (entries[0::2, 0::2], entries[1::2, 1::2]) if n > 1 else (entries,)
-        return np.sort(
-            np.concatenate([symm_eigen(block, _SPECTRUM_TOL) for block in blocks])
-        )
+        return np.sort(np.concatenate([symm_eigen(block) for block in blocks]))
     if n % 2 == 0:
-        half = symm_eigen(entries[0::2, 1::2], _SPECTRUM_TOL)
+        half = symm_eigen(entries[0::2, 1::2])
         return np.sort(np.concatenate((half, -half)))
-    return symm_eigen(entries, _SPECTRUM_TOL)
+    return symm_eigen(entries)
 
 
 def spectrum_report(ell, n):

@@ -195,7 +195,7 @@ def test_criterion_09_hilbert_type_spectrum_range():
     bad = []
     details = []
     for p in (0.5, -0.5, -1.5):
-        vals = operators.symm_eigen(operators.hilbert_type(p, 512, False).entries, 1e-10)
+        vals = operators.symm_eigen(operators.hilbert_type(p, 512, False).entries)
         low, high = float(vals[0]), float(vals[-1])
         details.append(f"p={p}: [{low:.3e}, {high:.9f}]")
         if not (low > 0.0 and high < math.pi - 1e-6):

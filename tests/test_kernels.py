@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +166,14 @@ def test_closed_error_estimate_covers_the_oracle_miss(ell):
         record = k_closed(ell, x)
         miss = abs(record.value - fourier_symbol_oracle(ell, x))
         assert miss <= record.error_estimate + 1e-12, (x, miss, record.error_estimate)
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_conv_error_estimate_covers_the_oracle_miss(ell):
+    for x in (1e-3, 0.01, 0.05, 0.3, 1.0, 3.0):
+        record = k_conv(ell, x)
+        miss = abs(record.value - fourier_symbol_oracle(ell, x))
+        assert miss <= record.error_estimate, (x, miss, record.error_estimate)
 
 
 @given(ell=st.integers(1, 8), x=st.floats(0.1, 50.0))
@@ -341,3 +350,25 @@ def test_lp_diagnostic_l1_grows_and_l2_saturates():
 def test_lp_diagnostic_validation():
     with pytest.raises(ValueError):
         lp_diagnostic(1, 0.5, 100.0)
+
+
+@pytest.mark.parametrize(
+    "p, big_x",
+    [(math.nan, 10.0), (math.inf, 10.0), (1.0, math.nan), (1.0, math.inf)],
+    ids=["nan-p", "inf-p", "nan-x", "inf-x"],
+)
+def test_lp_diagnostic_rejects_non_finite_input(p, big_x):
+    with pytest.raises(ValueError, match="^lp_diagnostic: .* must be finite"):
+        lp_diagnostic(1, p, big_x)
+
+
+def test_lp_diagnostic_checks_the_panel_budget_before_building_seeds():
+    # about 3.2e8 asymptotic zeros would be seeded
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="seed panels exceed"):
+            lp_diagnostic(1, 1.0, 1e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

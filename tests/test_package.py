@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 import hankel_spectra
@@ -16,7 +18,6 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_operators_names_are_the_module_objects():
-    assert hankel_spectra.JACOBI_BACKEND is operators.JACOBI_BACKEND
     assert hankel_spectra.symm_eigen is operators.symm_eigen
     assert hankel_spectra.BlockCertificate is operators.BlockCertificate
 
@@ -24,3 +25,19 @@ def test_operators_names_are_the_module_objects():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         hankel_spectra.no_such_name
+
+
+def test_package_is_pure_python():
+    sources = [
+        path for path in Path(hankel_spectra.__file__).parent.rglob("*")
+        if path.is_file() and "__pycache__" not in path.parts
+    ]
+    assert sources
+    assert [p.name for p in sources if p.suffix != ".py"] == []
+    with pytest.raises(AttributeError):
+        hankel_spectra.JACOBI_BACKEND
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        requires = tomllib.load(handle)["build-system"]["requires"]
+    assert [r for r in requires if not r.startswith("setuptools")] == []
