@@ -63,8 +63,7 @@ __all__ = [
     "SpectrumReport",
     "X_MIN_CLOSED",
     "alternating_factorial_identity",
-    "block_decompose_even",
-    "block_decompose_odd",
+    "block_certificate",
     "block_parameters",
     "damped_moment_shifted",
     "damped_trig_moment",

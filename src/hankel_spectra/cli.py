@@ -25,6 +25,8 @@ from .specfun import L_MAX
 
 
 def _format_cell(value):
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -123,17 +125,18 @@ def cmd_density(args):
     rows = []
     for lam in points:
         point = spectral.density_rho(args.p, lam)
-        rows.append((lam, point.rho, spectral.multiplier_h(lam)))
+        rows.append((lam, point.rho, spectral.multiplier_h(lam), point.log_rho))
     fmt = args.format or "csv"
     if fmt == "csv":
-        text = _csv_text(("lambda", "rho", "h"), rows)
+        text = _csv_text(("lambda", "rho", "h", "log_rho"), rows)
     else:
         text = _json_text(
             {
                 "command": "density",
                 "p": args.p,
                 "rows": [
-                    {"lambda": lam, "rho": rho, "h": h} for lam, rho, h in rows
+                    {"lambda": lam, "rho": rho, "h": h, "log_rho": log_rho}
+                    for lam, rho, h, log_rho in rows
                 ],
             }
         )
@@ -178,15 +181,9 @@ def cmd_spectrum(args):
 def cmd_blocks(args):
     if args.ell is None or args.size is None:
         raise ValueError("blocks requires --ell and --size")
-    if not 0 <= args.ell <= L_MAX:
-        raise ValueError(f"blocks: ell = {args.ell} outside [0, {L_MAX}]")
     from . import operators
 
-    m = args.ell // 2
-    if args.ell % 2 == 0:
-        certificate = operators.block_decompose_even(m, args.size)
-    else:
-        certificate = operators.block_decompose_odd(m, args.size)
+    certificate = operators.block_certificate(args.ell, args.size)
     payload = {
         "command": "blocks",
         "ell": args.ell,
@@ -312,13 +309,9 @@ def _suite_kernels(tol):
 def _suite_operators(tol):
     from . import operators
 
-    worst_cert = 0.0
-    worst_cross = 0.0
-    for m in range(4):
-        even = operators.block_decompose_even(m, 32)
-        odd = operators.block_decompose_odd(m, 32)
-        worst_cert = max(worst_cert, even.max_abs_deviation, odd.max_abs_deviation)
-        worst_cross = max(worst_cross, even.cross_block_max, odd.cross_block_max)
+    certificates = [operators.block_certificate(ell, 32) for ell in range(L_MAX + 1)]
+    worst_cert = max(c.max_abs_deviation for c in certificates)
+    worst_cross = max(c.cross_block_max for c in certificates)
     worst_conj = 0.0
     signs = operators.alternating_signs(64)
     for p in (0.5, -0.5, -1.5):
@@ -329,7 +322,8 @@ def _suite_operators(tol):
     return [
         _check(
             "block-certificates",
-            "parity block decompositions match scaled Hilbert-type targets",
+            "parity blocks of every order's truncation match the descriptor's "
+            "(sign/pi) Hilbert-type blocks",
             worst_cert,
             tol,
         ),
@@ -365,16 +359,6 @@ def _suite_spectral(tol):
     for left, right in zip(values[:-1], values[1:]):
         violation = max(violation, right - left)
     violation = max(violation, max(values) - math.pi, -min(values))
-    worst_desc = 0.0
-    for ell in range(L_MAX + 1):
-        descriptor = spectral.diagonalization_of(ell)
-        for block, (sign, p) in zip(descriptor.blocks, spectral.block_parameters(ell)):
-            worst_desc = max(
-                worst_desc,
-                abs(block.sign - sign),
-                abs(block.p - p),
-                abs(block.scale - 1.0 / math.pi),
-            )
     return [
         _check(
             "density-closed-form-p0",
@@ -392,12 +376,6 @@ def _suite_spectral(tol):
             "multiplier-bounds",
             "multiplier stays in (0, pi) and decreases along an increasing grid",
             violation,
-            0.0,
-        ),
-        _check(
-            "descriptor-matches-blocks",
-            "diagonalization descriptor carries the same sign/p data as the block certificates",
-            worst_desc,
             0.0,
         ),
     ]
@@ -455,6 +433,13 @@ def _finite_float(text):
     return value
 
 
+def _tolerance(text):
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--out", metavar="PATH", default=None)
@@ -484,7 +469,7 @@ def _build_parser():
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("--suite", choices=sorted(_SUITES))
-    verify.add_argument("--tol", type=_finite_float, default=1e-8)
+    verify.add_argument("--tol", type=_tolerance, default=1e-8)
     _add_common(verify)
     verify.set_defaults(func=cmd_verify)
 

@@ -123,6 +123,11 @@ def hankel_truncation(ell, n):
     return HankelTruncation(ell=ell, size=n, entries=_hankel_window(diagonal, n))
 
 
+def _hilbert_diagonal(p, n):
+    """The 2n - 1 anti-diagonal values 1/(1 + s - p) of a Hilbert-type matrix."""
+    return 1.0 / (1.0 + np.arange(2 * n - 1) - p)
+
+
 def hilbert_type(p, n, alternating):
     """Entry (row, col) = 1/(1 + row + col - p), optionally with the
     (-1)^(row+col) sign checkerboard.
@@ -135,7 +140,7 @@ def hilbert_type(p, n, alternating):
     if p > 0.5:
         raise ValueError(f"hilbert_type: p = {p} must be <= 1/2")
     _check_size(n)
-    diagonal = 1.0 / (1.0 + np.arange(2 * n - 1) - p)
+    diagonal = _hilbert_diagonal(p, n)
     if alternating:
         diagonal *= alternating_signs(2 * n - 1)
     return HilbertTypeMatrix(
@@ -158,11 +163,8 @@ def _sign_window(n):
 
 def _scaled_target(sign, p, n):
     """(sign/pi) times the Hilbert-type matrix with parameter p, scaled on
-    its 2n - 1 anti-diagonal values (the first row, then the rest of the
-    last column) rather than on n^2 entries."""
-    entries = hilbert_type(p, n, False).entries
-    diagonal = np.concatenate((entries[0], entries[1:, -1]))
-    return _hankel_window((sign / math.pi) * diagonal, n)
+    its 2n - 1 anti-diagonal values rather than on n^2 entries."""
+    return _hankel_window((sign / math.pi) * _hilbert_diagonal(p, n), n)
 
 
 def _max_deviation(block, target):
@@ -171,66 +173,44 @@ def _max_deviation(block, target):
     return np.abs(block, out=block).max()
 
 
-def block_decompose_even(m, n):
-    """Certificate for the even-order block identity.
+def block_certificate(ell, n):
+    """Certificate of the two blocks of ``block_parameters(ell)`` against
+    the order-ell truncation of size 2N.
 
-    The order-2m truncation of size 2N splits along parity: the cross
-    blocks vanish identically, and the two diagonal blocks, conjugated by
-    the alternating-sign diagonal, are (-1)^m/pi and (-1)^(m+1)/pi times
-    Hilbert-type matrices with parameters 1/2 - m and -1/2 - m.
+    Entry (row, col) vanishes unless row + col + ell is even, so the
+    parity of ell picks which pair of the four N x N parity slices must
+    vanish identically and which pair is kept. Conjugated by the
+    alternating-sign diagonal, the kept diagonal pair of an even order is
+    the two blocks, (sign/pi) times Hilbert-type matrices. The kept
+    off-diagonal pair [[0, U], [L, 0]] of an odd order is turned by the
+    sum/difference rotation (1/sqrt 2) [[I, -I], [I, I]] into
+    (1/2) [[U+L, U-L], [L-U, -(U+L)]]: (U+L)/2 lands on the first block
+    and (U-L)/2 must vanish.
     """
-    if not (0 <= m and 2 * m <= L_MAX):
-        raise ValueError(f"block_decompose_even: need 0 <= 2m <= {L_MAX}, got m = {m}")
-    _check_size(2 * n)
-    big = hankel_truncation(2 * m, 2 * n).entries
-    cross = max(np.abs(big[0::2, 1::2]).max(), np.abs(big[1::2, 0::2]).max())
+    big = hankel_truncation(ell, 2 * n).entries
+    odd = ell % 2
+    cross = max(np.abs(big[0::2, 1 - odd::2]).max(), np.abs(big[1::2, odd::2]).max())
     signs = _sign_window(n)
-    (sign_even, p_even), (sign_odd, p_odd) = block_parameters(2 * m)
-    deviation = max(
-        _max_deviation(big[0::2, 0::2] * signs, _scaled_target(sign_even, p_even, n)),
-        _max_deviation(big[1::2, 1::2] * signs, _scaled_target(sign_odd, p_odd, n)),
-    )
-    return BlockCertificate(
-        parity="even",
-        m=m,
-        size=n,
-        max_abs_deviation=float(deviation),
-        cross_block_max=float(cross),
-    )
-
-
-def block_decompose_odd(m, n):
-    """Certificate for the odd-order block identity.
-
-    For order 2m+1 the diagonal parity blocks vanish identically; the
-    remaining off-diagonal pair [[0, U], [L, 0]], conjugated by the
-    alternating-sign diagonal, is turned by the sum/difference rotation
-    (1/sqrt 2) [[I, -I], [I, I]] into (1/2) [[U+L, U-L], [L-U, -(U+L)]],
-    which lands on +/-(-1)^(m+1)/pi times the Hilbert-type matrix with
-    parameter -1/2 - m.
-    """
-    if not (0 <= m and 2 * m + 1 <= L_MAX):
-        raise ValueError(
-            f"block_decompose_odd: need 0 <= 2m+1 <= {L_MAX}, got m = {m}"
+    (sign_a, p_a), (sign_b, p_b) = block_parameters(ell)
+    if not odd:
+        deviation = max(
+            _max_deviation(big[0::2, 0::2] * signs, _scaled_target(sign_a, p_a, n)),
+            _max_deviation(big[1::2, 1::2] * signs, _scaled_target(sign_b, p_b, n)),
         )
-    _check_size(2 * n)
-    big = hankel_truncation(2 * m + 1, 2 * n).entries
-    cross = max(np.abs(big[0::2, 0::2]).max(), np.abs(big[1::2, 1::2]).max())
-    signs = _sign_window(n)
-    upper = big[0::2, 1::2] * signs
-    lower = big[1::2, 0::2] * signs
-    (sign_first, p_block), _ = block_parameters(2 * m + 1)
-    half_sum = upper + lower
-    half_sum /= 2.0
-    upper -= lower
-    upper /= 2.0
-    deviation = max(
-        _max_deviation(half_sum, _scaled_target(sign_first, p_block, n)),
-        np.abs(upper, out=upper).max(),
-    )
+    else:
+        upper = big[0::2, 1::2] * signs
+        lower = big[1::2, 0::2] * signs
+        half_sum = upper + lower
+        half_sum /= 2.0
+        upper -= lower
+        upper /= 2.0
+        deviation = max(
+            _max_deviation(half_sum, _scaled_target(sign_a, p_a, n)),
+            np.abs(upper, out=upper).max(),
+        )
     return BlockCertificate(
-        parity="odd",
-        m=m,
+        parity="odd" if odd else "even",
+        m=ell // 2,
         size=n,
         max_abs_deviation=float(deviation),
         cross_block_max=float(cross),

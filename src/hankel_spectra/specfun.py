@@ -210,6 +210,15 @@ def _log_gamma_re(w):
     return s.real
 
 
+def _check_gamma_args(name, p, y):
+    if not (math.isfinite(p) and math.isfinite(y)):
+        raise ValueError(f"{name}: p = {p}, y = {y} must be finite")
+    if p > 0.5:
+        raise ValueError(f"{name}: p = {p} exceeds 1/2")
+    if y <= 0.0:
+        raise ValueError(f"{name}: y = {y} must be positive")
+
+
 def gamma_abs_sq(p, y):
     """|Gamma(1/2 - p - i*y)|^2 for p <= 1/2 and y > 0.
 
@@ -217,18 +226,29 @@ def gamma_abs_sq(p, y):
     |Gamma(w+1)|^2 / |w|^2 until Re w >= 10, then applies the Stirling
     series for log Gamma.
     """
-    if not (math.isfinite(p) and math.isfinite(y)):
-        raise ValueError(f"gamma_abs_sq: p = {p}, y = {y} must be finite")
-    if p > 0.5:
-        raise ValueError(f"gamma_abs_sq: p = {p} exceeds 1/2")
-    if y <= 0.0:
-        raise ValueError(f"gamma_abs_sq: y = {y} must be positive")
+    _check_gamma_args("gamma_abs_sq", p, y)
     w = complex(0.5 - p, -y)
     shift = 1.0
     while w.real < 10.0:
         shift *= w.real * w.real + w.imag * w.imag
         w += 1.0
     return math.exp(2.0 * _log_gamma_re(w)) / shift
+
+
+def log_gamma_abs_sq(p, y):
+    """log |Gamma(1/2 - p - i*y)|^2 for p <= 1/2 and y > 0.
+
+    The shift of ``gamma_abs_sq`` summed as 2 log|w| rather than
+    multiplied as |w|^2, so it stays finite where |Gamma|^2 or the
+    shift product leaves the double range (|Gamma|^2 ~ e^(-pi y)).
+    """
+    _check_gamma_args("log_gamma_abs_sq", p, y)
+    w = complex(0.5 - p, -y)
+    log_shift = 0.0
+    while w.real < 10.0:
+        log_shift += 2.0 * math.log(abs(w))
+        w += 1.0
+    return 2.0 * _log_gamma_re(w) - log_shift
 
 
 def damped_moment_shifted(n, a, x):

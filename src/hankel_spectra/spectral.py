@@ -4,23 +4,24 @@ diagonalization descriptor.
 Each operator in the family is unitarily equivalent to a direct sum of
 two multiplication operators by +/- h on weighted half-line spaces; the
 weight is rho_p for a parameter p determined by the order's parity. The
-descriptor records exactly that data. ``block_parameters`` writes the
-same (sign, p) pairs as the table of the truncations' parity blocks, and
-the spectral verify suite checks that the two writings agree.
+descriptor records exactly that data, built from the one (sign, p)
+table ``block_parameters``; ``operators.block_certificate`` checks the
+same table against the parity blocks of the truncations.
 """
 
 import math
 from dataclasses import dataclass
 from functools import partial
 
-from .specfun import L_MAX, gamma_abs_sq
+from .specfun import L_MAX, gamma_abs_sq, log_gamma_abs_sq
 
 
 @dataclass(frozen=True)
 class SpectralDensityPoint:
     p: float
     lam: float
-    rho: float
+    rho: object  # float, or None where it overflows a double
+    log_rho: float
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,12 @@ def multiplier_h(lam):
         raise ValueError(f"multiplier_h: lambda = {lam} must be finite")
     if lam <= 0.0:
         raise ValueError(f"multiplier_h: lambda = {lam} must be positive")
-    return math.pi / math.cosh(math.pi * math.sqrt(lam))
+    t = math.pi * math.sqrt(lam)
+    try:
+        return math.pi / math.cosh(t)
+    except OverflowError:
+        # t > acosh(DBL_MAX) ~ 710.5, where e^(-2t) is far below an ulp of 1
+        return 2.0 * math.pi * math.exp(-t)
 
 
 def _density_value(p, lam):
@@ -60,6 +66,14 @@ def _density_value(p, lam):
     )
 
 
+def _log_density(p, lam):
+    # log sinh t = t + log(1 - e^(-2t)) - log 2, finite for every t > 0
+    y = math.sqrt(lam)
+    t = 2.0 * math.pi * y
+    log_sinh = t + math.log(-math.expm1(-2.0 * t)) - math.log(2.0)
+    return log_sinh + log_gamma_abs_sq(p, y) - math.log(2.0 * math.pi * math.pi)
+
+
 def density_rho(p, lam):
     """The weight (1/2 pi^2) sinh(2 pi sqrt(lambda)) |Gamma(1/2 - p -
     i sqrt(lambda))|^2 of the diagonalizing space, as a point record.
@@ -67,16 +81,26 @@ def density_rho(p, lam):
     Defined for lambda > 0 only; the value is a raw (unnormalized)
     density and grows exponentially in sqrt(lambda), so the sinh factor
     overflows past lambda = (asinh(DBL_MAX) / 2 pi)^2, about 1.28e4.
+    Where the value overflows ``rho`` is None; ``log_rho``, computed in
+    log space, is finite for every valid input.
     """
-    return SpectralDensityPoint(p=p, lam=lam, rho=_density_value(p, lam))
+    try:
+        rho = _density_value(p, lam)
+    except OverflowError:
+        rho = None
+    return SpectralDensityPoint(p=p, lam=lam, rho=rho, log_rho=_log_density(p, lam))
 
 
 def block_parameters(ell):
-    """The (sign, p) pairs of the two diagonal blocks that the parity
-    decomposition of the order-ell truncation produces (scale 1/pi each);
-    the first pair belongs to the even-coordinate (or post-rotation
-    first) block. ``operators`` certifies these blocks and re-exports
-    this table."""
+    """The (sign, p) pairs of the two blocks diagonalizing the order-ell
+    operator, each with scale 1/pi: the first pair belongs to the
+    even-coordinate (or post-rotation first) parity block of the
+    truncations, which ``operators.block_certificate`` checks against.
+
+    Even order 2m pairs parameter 1/2 - m with sign (-1)^m and
+    -1/2 - m with sign (-1)^(m+1); odd order 2m+1 uses -1/2 - m twice,
+    signs (-1)^(m+1) then (-1)^m.
+    """
     if not 0 <= ell <= L_MAX:
         raise ValueError(f"block_parameters: ell = {ell} outside [0, {L_MAX}]")
     m = ell // 2
@@ -87,23 +111,10 @@ def block_parameters(ell):
 
 
 def diagonalization_of(ell):
-    """The two (sign, p) blocks diagonalizing the order-ell operator.
-
-    Even order 2m pairs parameter 1/2 - m with sign (-1)^m and
-    -1/2 - m with sign (-1)^(m+1); odd order 2m+1 uses -1/2 - m twice,
-    signs (-1)^(m+1) then (-1)^m. Scale is 1/pi for every block.
-    """
-    if not 0 <= ell <= L_MAX:
-        raise ValueError(f"diagonalization_of: ell = {ell} outside [0, {L_MAX}]")
-    m = ell // 2
-    sign = 1.0 if m % 2 == 0 else -1.0
-    scale = 1.0 / math.pi
-    if ell % 2 == 0:
-        pairs = ((sign, 0.5 - m), (-sign, -0.5 - m))
-    else:
-        pairs = ((-sign, -0.5 - m), (sign, -0.5 - m))
+    """The two blocks of ``block_parameters(ell)``, each with scale 1/pi
+    and the density rho_p of its parameter."""
     blocks = tuple(
-        DiagonalBlock(sign=s, scale=scale, p=p, density=partial(_density_value, p))
-        for s, p in pairs
+        DiagonalBlock(sign=s, scale=1.0 / math.pi, p=p, density=partial(_density_value, p))
+        for s, p in block_parameters(ell)
     )
     return DiagonalizationDescriptor(ell=ell, blocks=blocks)

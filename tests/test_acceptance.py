@@ -140,11 +140,10 @@ def test_criterion_06_block_certificates():
     start = time.perf_counter()
     worst_dev = 0.0
     worst_cross = 0.0
-    for m in range(0, 4):
-        even = operators.block_decompose_even(m, 64)
-        odd = operators.block_decompose_odd(m, 64)
-        worst_dev = max(worst_dev, even.max_abs_deviation, odd.max_abs_deviation)
-        worst_cross = max(worst_cross, even.cross_block_max, odd.cross_block_max)
+    for ell in range(0, 8):
+        cert = operators.block_certificate(ell, 64)
+        worst_dev = max(worst_dev, cert.max_abs_deviation)
+        worst_cross = max(worst_cross, cert.cross_block_max)
     elapsed = time.perf_counter() - start
     ok = worst_dev <= 1e-13 and worst_cross == 0.0 and elapsed < 5.0
     _report(6, "block decomposition certificates", ok,

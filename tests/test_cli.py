@@ -56,11 +56,41 @@ def test_density_row_values(capsys):
     code, out = run_cli(capsys, "density", "--p", "0.5", "--lambda", "1.0")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "lambda,rho,h"
+    assert lines[0] == "lambda,rho,h,log_rho"
     cells = [float(c) for c in lines[1].split(",")]
     assert cells[0] == 1.0
     assert cells[1] == pytest.approx(math.cosh(math.pi) / math.pi, rel=1e-13)
     assert cells[2] == pytest.approx(math.pi / math.cosh(math.pi), rel=1e-13)
+    assert cells[3] == pytest.approx(math.log(cells[1]), rel=1e-13)
+
+
+def _log_rho_reference(p, lam):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        y = mpmath.sqrt(mpmath.mpf(lam))
+        log_gamma = mpmath.re(mpmath.loggamma(mpmath.mpf(0.5) - p - 1j * y))
+        return float(
+            mpmath.log(mpmath.sinh(2 * mpmath.pi * y))
+            + 2 * log_gamma
+            - mpmath.log(2 * mpmath.pi**2)
+        )
+
+
+@pytest.mark.parametrize("lam", ["1e5", "1e300"])
+def test_density_past_the_sinh_overflow_reports_log_rho(capsys, lam):
+    code, out = run_cli(capsys, "density", "--p", "0", "--lambda", lam)
+    assert code == 0
+    header, row = out.strip().splitlines()
+    assert header == "lambda,rho,h,log_rho"
+    _, rho_cell, h_cell, log_rho_cell = row.split(",")
+    assert rho_cell == ""
+    assert float(h_cell) == 0.0
+    assert float(log_rho_cell) == pytest.approx(_log_rho_reference(0.0, float(lam)), rel=1e-12)
+    code, out = run_cli(capsys, "density", "--p", "0", "--lambda", lam, "--format", "json")
+    assert code == 0
+    (entry,) = json.loads(out)["rows"]
+    assert entry["rho"] is None
+    assert entry["log_rho"] == float(log_rho_cell)
 
 
 def test_density_rejects_large_p(capsys):
@@ -152,6 +182,28 @@ def test_verify_operators_at_tight_tolerance(capsys):
     assert json.loads(out)["all_pass"] is True
 
 
+def test_verify_accepts_zero_tolerance(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "identities", "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["tol"] == 0.0
+
+
+def test_verify_operators_certifies_every_order(capsys, monkeypatch):
+    from hankel_spectra import operators
+
+    certified = []
+    certify = operators.block_certificate
+
+    def spy(ell, n):
+        certified.append(ell)
+        return certify(ell, n)
+
+    monkeypatch.setattr(operators, "block_certificate", spy)
+    code, _ = run_cli(capsys, "verify", "--suite", "operators")
+    assert code == 0
+    assert certified == list(range(9))
+
+
 def test_verify_unreachable_tolerance_fails(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "fourier", "--tol", "1e-30")
     assert code == 1
@@ -169,6 +221,8 @@ def test_verify_unreachable_tolerance_fails(capsys):
         ("density", "--p", "0", "--lambda", "inf"),
         ("density", "--p", "0", "--lambda-min", "0.1", "--lambda-max", "nan", "--num", "3"),
         ("verify", "--suite", "operators", "--tol", "nan"),
+        ("verify", "--suite", "fourier", "--tol", "-1"),
+        ("verify", "--suite", "identities", "--tol", "-1"),
     ],
 )
 def test_non_finite_float_flags_exit_two(capsys, argv):

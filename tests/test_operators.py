@@ -73,11 +73,15 @@ def test_block_parameters_frozen():
     assert op.block_parameters(2) == ((-1.0, -0.5), (1.0, -1.5))
     assert op.block_parameters(3) == ((1.0, -1.5), (-1.0, -1.5))
     assert op.block_parameters(4) == ((1.0, -1.5), (-1.0, -2.5))
+    assert op.block_parameters(5) == ((-1.0, -2.5), (1.0, -2.5))
+    assert op.block_parameters(6) == ((-1.0, -2.5), (1.0, -3.5))
+    assert op.block_parameters(7) == ((1.0, -3.5), (-1.0, -3.5))
+    assert op.block_parameters(8) == ((1.0, -3.5), (-1.0, -4.5))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_even_block_certificates(m):
-    cert = op.block_decompose_even(m, 32)
+    cert = op.block_certificate(2 * m, 32)
     assert cert.parity == "even"
     assert cert.max_abs_deviation <= 1e-13
     assert cert.cross_block_max == 0.0
@@ -85,7 +89,7 @@ def test_even_block_certificates(m):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_odd_block_certificates(m):
-    cert = op.block_decompose_odd(m, 32)
+    cert = op.block_certificate(2 * m + 1, 32)
     assert cert.parity == "odd"
     assert cert.max_abs_deviation <= 1e-13
     assert cert.cross_block_max == 0.0
@@ -104,10 +108,10 @@ def test_block_certificates_catch_a_perturbed_block(monkeypatch, parity, rows, c
 
     monkeypatch.setattr(op, "hankel_truncation", perturbed)
     if parity == "even":
-        cert = op.block_decompose_even(1, 8)
+        cert = op.block_certificate(2, 8)
         allowed = rows == cols
     else:
-        cert = op.block_decompose_odd(1, 8)
+        cert = op.block_certificate(3, 8)
         allowed = rows != cols
     if allowed:
         # the odd-order rotation spreads the error over two blocks at half size
@@ -184,20 +188,19 @@ def test_hilbert_type_are_read_only_windows_on_the_dense_values(n, alternating):
 @pytest.mark.parametrize("n", [8, 33])
 @pytest.mark.parametrize("ell", range(9))
 def test_block_certificates_match_the_dense_computation_bit_for_bit(ell, n):
-    m = ell // 2
-    cert = op.block_decompose_even(m, n) if ell % 2 == 0 else op.block_decompose_odd(m, n)
+    cert = op.block_certificate(ell, n)
     got = (cert.max_abs_deviation.hex(), cert.cross_block_max.hex())
     assert got == _dense_certificate(ell, n)
 
 
-@pytest.mark.parametrize("certify", [op.block_decompose_even, op.block_decompose_odd])
-def test_block_certificates_allocate_a_few_blocks_at_most(certify):
+@pytest.mark.parametrize("ell", [2, 3], ids=["even", "odd"])
+def test_block_certificates_allocate_a_few_blocks_at_most(ell):
     # a dense index matrix, a gathered truncation and dense targets cost
     # 9-10 blocks of n^2 doubles; windows leave the products of the blocks
     n = 512
     tracemalloc.start()
     try:
-        certify(1, n)
+        op.block_certificate(ell, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -219,13 +222,13 @@ def test_non_finite_input_is_rejected(call):
         call()
 
 
-def test_block_decompose_validation():
+def test_block_certificate_validation():
     with pytest.raises(ValueError):
-        op.block_decompose_even(5, 8)
+        op.block_certificate(-1, 8)
     with pytest.raises(ValueError):
-        op.block_decompose_odd(4, 8)
+        op.block_certificate(9, 8)
     with pytest.raises(ValueError):
-        op.block_decompose_even(-1, 8)
+        op.block_certificate(2, 0)
 
 
 def _cubic_eigenvalues_exact(matrix_fractions):

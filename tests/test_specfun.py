@@ -15,6 +15,7 @@ from hankel_spectra.specfun import (
     e1_scaled,
     ein,
     gamma_abs_sq,
+    log_gamma_abs_sq,
     sinc,
     sinc_derivative,
 )
@@ -227,6 +228,22 @@ def test_gamma_abs_sq_recurrence(p, y):
 def test_gamma_abs_sq_rejects_large_p():
     with pytest.raises(ValueError):
         gamma_abs_sq(0.75, 1.0)
+
+
+def test_log_gamma_abs_sq_matches_mpmath_beyond_the_double_range():
+    # |Gamma|^2 ~ 2 pi y^(-2p) e^(-pi y) underflows from y ~ 230 on
+    for p in (0.5, 0.0, -0.5, -3.5):
+        for y in (0.1, 3.0, 100.0, 300.0, 1e8, 1e150):
+            want = float(2 * mp.re(mp.loggamma(mp.mpc(0.5 - p, -y))))
+            assert log_gamma_abs_sq(p, y) == pytest.approx(want, rel=1e-13, abs=1e-13)
+            if y <= 100.0:
+                assert log_gamma_abs_sq(p, y) == pytest.approx(
+                    math.log(gamma_abs_sq(p, y)), rel=1e-13, abs=1e-13
+                )
+    with pytest.raises(ValueError):
+        log_gamma_abs_sq(0.75, 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        log_gamma_abs_sq(0.0, math.inf)
 
 
 def test_damped_moment_shifted_frozen():

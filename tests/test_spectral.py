@@ -61,6 +61,31 @@ def test_density_point_record():
     assert point.rho > 0.0
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, -0.5, -1.5, -3.5])
+def test_log_density_matches_the_linear_value_below_the_overflow(p):
+    for lam in (1e-6, 0.01, 1.0, 100.0, 1e4, 12700.0):
+        point = density_rho(p, lam)
+        assert point.log_rho == pytest.approx(math.log(point.rho), abs=1e-13 * max(1.0, abs(point.log_rho)))
+
+
+def test_density_rho_is_none_past_the_sinh_overflow():
+    for lam in (12800.0, 1e5, 1e300):
+        point = density_rho(-0.5, lam)
+        assert point.rho is None
+        assert math.isfinite(point.log_rho)
+        assert point.log_rho > 350.0
+    # the descriptor's density keeps raising there
+    with pytest.raises(OverflowError):
+        diagonalization_of(2).blocks[0].density(1e5)
+
+
+def test_multiplier_is_finite_past_the_cosh_overflow():
+    # acosh(DBL_MAX) ~ 710.48; just past it h is 2 pi e^(-t) (subnormal)
+    t = 711.0
+    assert multiplier_h((t / math.pi) ** 2) == pytest.approx(2.0 * math.pi * math.exp(-t), rel=1e-9)
+    assert multiplier_h(1e300) == 0.0
+
+
 def test_density_validation():
     with pytest.raises(ValueError):
         density_rho(0.75, 1.0)
