@@ -1,13 +1,16 @@
 """Command-line surface: kernel tables, verification suites, truncation
 spectra, densities and block certificates, emitted as CSV or JSON.
 
+Each subcommand builds one JSON document and names its table, a list of
+flat dicts; ``_render`` writes the document as JSON or the table as CSV.
 Only the commands that build a matrix (spectrum, blocks and the operators
 verify suite) import ``operators``, and with it NumPy.
 
 Exit codes: 0 success, 1 a verification check failed, 2 configuration
-error, 3 numerical failure. Output for a fixed configuration is
-byte-identical across runs; when --out is given the file is written
-atomically (temp file then rename).
+error (including an --out path that cannot be written), 3 numerical
+failure. Output for a fixed configuration is byte-identical across runs;
+when --out is given the file is written atomically (temp file then
+rename).
 """
 
 import argparse
@@ -32,17 +35,23 @@ def _format_cell(value):
     return str(value)
 
 
-def _csv_text(header, rows):
+def _csv_text(table):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(cell) for cell in row])
+    writer.writerow(table[0])
+    for row in table:
+        writer.writerow([_format_cell(cell) for cell in row.values()])
     return buffer.getvalue()
 
 
-def _json_text(payload):
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _json_text(document):
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+def _render(fmt, document, table):
+    """The document as JSON, or the table (flat dicts sharing the first
+    row's keys) as CSV."""
+    return _json_text(document) if fmt == "json" else _csv_text(table)
 
 
 def _write_atomic(path, text):
@@ -61,13 +70,19 @@ def _write_atomic(path, text):
 
 
 def _emit(text, out_path):
-    if out_path:
-        _write_atomic(out_path, text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        _write_atomic(out_path, text)
+    except OSError as error:
+        raise ValueError(f"cannot write {out_path}: {error.strerror or error}") from None
 
 
-def _grid(low, high, num, what):
+def _points(single, low, high, num, what):
+    """The one point given by --<what>, or the grid of the range flags."""
+    if single is not None:
+        return [single]
     if low is None or high is None or num is None:
         raise ValueError(
             f"provide either --{what} or all of --{what}-min/--{what}-max/--num"
@@ -81,72 +96,40 @@ def _grid(low, high, num, what):
 
 
 def cmd_kernel(args):
-    if args.ell is None:
-        raise ValueError("kernel requires --ell")
-    if args.x is not None:
-        points = [args.x]
-    else:
-        points = _grid(args.xmin, args.xmax, args.num, "x")
     rows = []
-    for x in points:
+    for x in _points(args.x, args.xmin, args.xmax, args.num, "x"):
         evaluation = kernels.evaluate(args.ell, x, method=args.method)
-        rows.append((x, evaluation.value, evaluation.route, evaluation.error_estimate))
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        text = _csv_text(("x", "value", "route", "error_estimate"), rows)
-    else:
-        text = _json_text(
+        rows.append(
             {
-                "command": "kernel",
-                "ell": args.ell,
-                "method": args.method,
-                "rows": [
-                    {
-                        "x": x,
-                        "value": value,
-                        "route": route,
-                        "error_estimate": err,
-                    }
-                    for x, value, route, err in rows
-                ],
+                "x": x,
+                "value": evaluation.value,
+                "route": evaluation.route,
+                "error_estimate": evaluation.error_estimate,
             }
         )
-    _emit(text, args.out)
+    document = {"command": "kernel", "ell": args.ell, "method": args.method, "rows": rows}
+    _emit(_render(args.format, document, rows), args.out)
     return 0
 
 
 def cmd_density(args):
-    if args.p is None:
-        raise ValueError("density requires --p")
-    if args.lam is not None:
-        points = [args.lam]
-    else:
-        points = _grid(args.lam_min, args.lam_max, args.num, "lambda")
     rows = []
-    for lam in points:
+    for lam in _points(args.lam, args.lam_min, args.lam_max, args.num, "lambda"):
         point = spectral.density_rho(args.p, lam)
-        rows.append((lam, point.rho, spectral.multiplier_h(lam), point.log_rho))
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        text = _csv_text(("lambda", "rho", "h", "log_rho"), rows)
-    else:
-        text = _json_text(
+        rows.append(
             {
-                "command": "density",
-                "p": args.p,
-                "rows": [
-                    {"lambda": lam, "rho": rho, "h": h, "log_rho": log_rho}
-                    for lam, rho, h, log_rho in rows
-                ],
+                "lambda": lam,
+                "rho": point.rho,
+                "h": spectral.multiplier_h(lam),
+                "log_rho": point.log_rho,
             }
         )
-    _emit(text, args.out)
+    document = {"command": "density", "p": args.p, "rows": rows}
+    _emit(_render(args.format, document, rows), args.out)
     return 0
 
 
 def cmd_spectrum(args):
-    if args.ell is None or args.size is None:
-        raise ValueError("spectrum requires --ell and --size")
     from . import operators
 
     report = operators.spectrum_report(args.ell, args.size)
@@ -160,31 +143,23 @@ def cmd_spectrum(args):
         "coverage_gap": report.coverage_gap,
     }
     eigenvalues = [float(v) for v in report.eigenvalues]
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        table = _csv_text(
-            ("index", "eigenvalue"), list(enumerate(eigenvalues))
-        )
-    else:
-        table = _json_text(dict(summary, eigenvalues=eigenvalues))
+    rows = [{"index": i, "eigenvalue": v} for i, v in enumerate(eigenvalues)]
+    text = _render(args.format, dict(summary, eigenvalues=eigenvalues), rows)
     if args.out:
-        _write_atomic(args.out, table)
-        sys.stdout.write(_json_text(summary))
-    elif fmt == "csv":
-        sys.stdout.write(table)
-        sys.stdout.write(json.dumps(summary, allow_nan=False) + "\n")
-    else:
-        sys.stdout.write(table)
+        # the table goes to the file, the summary to stdout
+        _emit(text, args.out)
+        text = _json_text(summary)
+    elif args.format == "csv":
+        text += json.dumps(summary, allow_nan=False) + "\n"
+    sys.stdout.write(text)
     return 0
 
 
 def cmd_blocks(args):
-    if args.ell is None or args.size is None:
-        raise ValueError("blocks requires --ell and --size")
     from . import operators
 
     certificate = operators.block_certificate(args.ell, args.size)
-    payload = {
+    document = {
         "command": "blocks",
         "ell": args.ell,
         "parity": certificate.parity,
@@ -193,13 +168,7 @@ def cmd_blocks(args):
         "max_abs_deviation": certificate.max_abs_deviation,
         "cross_block_max": certificate.cross_block_max,
     }
-    fmt = args.format or "json"
-    if fmt == "json":
-        text = _json_text(payload)
-    else:
-        keys = list(payload.keys())
-        text = _csv_text(keys, [tuple(payload[k] for k in keys)])
-    _emit(text, args.out)
+    _emit(_render(args.format, document, [document]), args.out)
     return 0
 
 
@@ -391,35 +360,16 @@ _SUITES = {
 
 
 def cmd_verify(args):
-    if args.suite is None:
-        raise ValueError("verify requires --suite")
     checks = _SUITES[args.suite](args.tol)
     all_pass = all(check["pass"] for check in checks)
-    payload = {
+    document = {
         "command": "verify",
         "suite": args.suite,
         "tol": args.tol,
         "checks": checks,
         "all_pass": all_pass,
     }
-    fmt = args.format or "json"
-    if fmt == "json":
-        text = _json_text(payload)
-    else:
-        text = _csv_text(
-            ("name", "statement", "measured", "threshold", "pass"),
-            [
-                (
-                    check["name"],
-                    check["statement"],
-                    check["measured"],
-                    check["threshold"],
-                    check["pass"],
-                )
-                for check in checks
-            ],
-        )
-    _emit(text, args.out)
+    _emit(_render(args.format, document, checks), args.out)
     return 0 if all_pass else 1
 
 
@@ -440,8 +390,8 @@ def _tolerance(text):
     return value
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
+def _add_common(parser, default_format):
+    parser.add_argument("--format", choices=("csv", "json"), default=default_format)
     parser.add_argument("--out", metavar="PATH", default=None)
 
 
@@ -456,7 +406,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     kernel = sub.add_parser("kernel", help="evaluate a kernel on a point or grid")
-    kernel.add_argument("--ell", type=int)
+    kernel.add_argument("--ell", type=int, required=True)
     kernel.add_argument("--x", type=_finite_float)
     kernel.add_argument("--xmin", type=_finite_float)
     kernel.add_argument("--xmax", type=_finite_float)
@@ -464,38 +414,38 @@ def _build_parser():
     kernel.add_argument(
         "--method", choices=("auto", "closed", "conv", "oracle"), default="auto"
     )
-    _add_common(kernel)
+    _add_common(kernel, "csv")
     kernel.set_defaults(func=cmd_kernel)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument("--suite", choices=sorted(_SUITES))
+    verify.add_argument("--suite", choices=sorted(_SUITES), required=True)
     verify.add_argument("--tol", type=_tolerance, default=1e-8)
-    _add_common(verify)
+    _add_common(verify, "json")
     verify.set_defaults(func=cmd_verify)
 
     spectrum = sub.add_parser(
         "spectrum", help="eigenvalues and diagnostics of a truncation"
     )
-    spectrum.add_argument("--ell", type=int)
-    spectrum.add_argument("--size", type=int)
-    _add_common(spectrum)
+    spectrum.add_argument("--ell", type=int, required=True)
+    spectrum.add_argument("--size", type=int, required=True)
+    _add_common(spectrum, "csv")
     spectrum.set_defaults(func=cmd_spectrum)
 
     density = sub.add_parser(
         "density", help="spectral density and multiplier on a lambda grid"
     )
-    density.add_argument("--p", type=_finite_float)
+    density.add_argument("--p", type=_finite_float, required=True)
     density.add_argument("--lambda", dest="lam", type=_finite_float)
     density.add_argument("--lambda-min", dest="lam_min", type=_finite_float)
     density.add_argument("--lambda-max", dest="lam_max", type=_finite_float)
     density.add_argument("--num", type=int)
-    _add_common(density)
+    _add_common(density, "csv")
     density.set_defaults(func=cmd_density)
 
     blocks = sub.add_parser("blocks", help="block decomposition certificate")
-    blocks.add_argument("--ell", type=int)
-    blocks.add_argument("--size", type=int)
-    _add_common(blocks)
+    blocks.add_argument("--ell", type=int, required=True)
+    blocks.add_argument("--size", type=int, required=True)
+    _add_common(blocks, "json")
     blocks.set_defaults(func=cmd_blocks)
 
     return parser

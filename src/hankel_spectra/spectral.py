@@ -10,10 +10,13 @@ same table against the parity blocks of the truncations.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
 from .specfun import L_MAX, gamma_abs_sq, log_gamma_abs_sq
+
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -79,16 +82,20 @@ def density_rho(p, lam):
     i sqrt(lambda))|^2 of the diagonalizing space, as a point record.
 
     Defined for lambda > 0 only; the value is a raw (unnormalized)
-    density and grows exponentially in sqrt(lambda), so the sinh factor
-    overflows past lambda = (asinh(DBL_MAX) / 2 pi)^2, about 1.28e4.
-    Where the value overflows ``rho`` is None; ``log_rho``, computed in
-    log space, is finite for every valid input.
+    density and grows exponentially in sqrt(lambda). ``log_rho``,
+    computed in log space, is finite for every valid input. The sinh
+    factor overflows past lambda = (asinh(DBL_MAX) / 2 pi)^2, about
+    1.28e4; from there ``rho`` is exp(log_rho), and None once rho itself
+    overflows a double (lambda about 4.6e4 to 5.2e4, by p).
     """
     try:
         rho = _density_value(p, lam)
     except OverflowError:
         rho = None
-    return SpectralDensityPoint(p=p, lam=lam, rho=rho, log_rho=_log_density(p, lam))
+    log_rho = _log_density(p, lam)
+    if rho is None and log_rho < _LOG_DBL_MAX:
+        rho = math.exp(log_rho)
+    return SpectralDensityPoint(p=p, lam=lam, rho=rho, log_rho=log_rho)
 
 
 def block_parameters(ell):

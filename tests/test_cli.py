@@ -247,6 +247,97 @@ def test_output_is_byte_deterministic(capsys):
     assert first == second
 
 
+_SUMMARY_KEYS = [
+    "command", "ell", "size", "min", "max", "containment_violation", "coverage_gap",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, header, keys",
+    [
+        (("kernel", "--ell", "1", "--x", "1.0"), "x,value,route,error_estimate",
+         ["command", "ell", "method", "rows"]),
+        (("density", "--p", "0", "--lambda", "2.0"), "lambda,rho,h,log_rho",
+         ["command", "p", "rows"]),
+        (("blocks", "--ell", "3", "--size", "8"),
+         "command,ell,parity,m,size,max_abs_deviation,cross_block_max",
+         ["command", "ell", "parity", "m", "size", "max_abs_deviation", "cross_block_max"]),
+        (("verify", "--suite", "identities"), "name,statement,measured,threshold,pass",
+         ["command", "suite", "tol", "checks", "all_pass"]),
+        (("spectrum", "--ell", "1", "--size", "4"), "index,eigenvalue",
+         [*_SUMMARY_KEYS, "eigenvalues"]),
+    ],
+    ids=["kernel", "density", "blocks", "verify", "spectrum"],
+)
+def test_output_layout_is_pinned(capsys, argv, header, keys):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == header
+    if argv[0] == "spectrum":
+        assert list(json.loads(lines[-1])) == _SUMMARY_KEYS
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == keys
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_out_layout_is_pinned(tmp_path, capsys, fmt):
+    target = tmp_path / f"spectrum.{fmt}"
+    code, out = run_cli(
+        capsys, "spectrum", "--ell", "2", "--size", "5", "--format", fmt, "--out", str(target)
+    )
+    assert code == 0
+    assert list(json.loads(out)) == _SUMMARY_KEYS
+    text = target.read_text()
+    if fmt == "csv":
+        assert text.splitlines()[0] == "index,eigenvalue"
+    else:
+        assert list(json.loads(text)) == [*_SUMMARY_KEYS, "eigenvalues"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--ell", "1", "--x", "1.0"),
+        ("spectrum", "--ell", "1", "--size", "4"),
+        ("verify", "--suite", "identities"),
+    ],
+    ids=["kernel", "spectrum", "verify"],
+)
+def test_unwritable_out_is_a_configuration_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code = cli.main([*argv, "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert f"cannot write {target}" in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--x", "1.0"),
+        ("density", "--lambda", "1.0"),
+        ("spectrum", "--ell", "1"),
+        ("spectrum", "--size", "4"),
+        ("blocks", "--ell", "1"),
+        ("blocks", "--size", "4"),
+        ("verify",),
+    ],
+)
+def test_missing_required_flag_exits_two(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "hankel_spectra", *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+
+
 def test_console_script_runs():
     result = subprocess.run(
         ["hankel-spectra", "density", "--p", "0.0", "--lambda", "4.0"],

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -69,14 +70,34 @@ def test_log_density_matches_the_linear_value_below_the_overflow(p):
 
 
 def test_density_rho_is_none_past_the_sinh_overflow():
-    for lam in (12800.0, 1e5, 1e300):
+    # the sinh factor overflows at 1.28e4, rho itself only near 5e4
+    point = density_rho(-0.5, 12800.0)
+    assert point.log_rho > 350.0
+    assert point.rho == math.exp(point.log_rho)
+    for lam in (1e5, 1e300):
         point = density_rho(-0.5, lam)
         assert point.rho is None
         assert math.isfinite(point.log_rho)
-        assert point.log_rho > 350.0
+        assert point.log_rho > 709.0
     # the descriptor's density keeps raising there
     with pytest.raises(OverflowError):
         diagonalization_of(2).blocks[0].density(1e5)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -0.5, -1.5, -3.5])
+def test_density_rho_past_the_sinh_overflow_matches_mpmath(p):
+    mpmath = pytest.importorskip("mpmath")
+    for lam in (1.28e4, 2e4, 3e4, 4e4, 5e4):
+        with mpmath.workdps(50):
+            y = mpmath.sqrt(mpmath.mpf(lam))
+            gamma = mpmath.gamma(mpmath.mpf(0.5) - p - 1j * y)
+            reference = mpmath.sinh(2 * mpmath.pi * y) * abs(gamma) ** 2 / (2 * mpmath.pi**2)
+            representable = reference < mpmath.mpf(sys.float_info.max)
+        rho = density_rho(p, lam).rho
+        if representable:
+            assert rho == pytest.approx(float(reference), rel=1e-12)
+        else:
+            assert rho is None
 
 
 def test_multiplier_is_finite_past_the_cosh_overflow():
