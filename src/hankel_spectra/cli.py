@@ -3,14 +3,24 @@ spectra, densities and block certificates, emitted as CSV or JSON.
 
 Each subcommand builds one JSON document and names its table, a list of
 flat dicts; ``_render`` writes the document as JSON or the table as CSV.
-Only the commands that build a matrix (spectrum, blocks and the operators
-verify suite) import ``operators``, and with it NumPy.
+
+This module imports only the standard library; each command imports the
+package modules it uses when it runs:
+
+- ``kernel`` and ``verify --suite fourier|kernels``: ``kernels``, which
+  loads ``quadrature``, ``combinatorics`` and ``specfun``;
+- ``density`` and ``verify --suite spectral``: ``spectral`` and ``specfun``;
+- ``verify --suite identities``: ``combinatorics`` and ``specfun``;
+- ``spectrum``, ``blocks`` and ``verify --suite operators``: ``operators``,
+  which loads ``spectral``, ``specfun`` and NumPy.
+
+``tempfile`` is imported only to write an --out file.
 
 Exit codes: 0 success, 1 a verification check failed, 2 configuration
 error (including an --out path that cannot be written), 3 numerical
 failure. Output for a fixed configuration is byte-identical across runs;
 when --out is given the file is written atomically (temp file then
-rename).
+rename) with the mode the umask gives a new file.
 """
 
 import argparse
@@ -20,11 +30,6 @@ import json
 import math
 import os
 import sys
-import tempfile
-
-from . import kernels, quadrature, spectral
-from .combinatorics import alternating_factorial_identity, sum_identity
-from .specfun import L_MAX
 
 
 def _format_cell(value):
@@ -55,11 +60,17 @@ def _render(fmt, document, table):
 
 
 def _write_atomic(path, text):
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     descriptor, temp_path = tempfile.mkstemp(dir=directory, prefix=".partial-")
     try:
         with os.fdopen(descriptor, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode a new file gets
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp_path, 0o666 & ~umask)
         os.replace(temp_path, path)
     except BaseException:
         try:
@@ -96,6 +107,8 @@ def _points(single, low, high, num, what):
 
 
 def cmd_kernel(args):
+    from . import kernels
+
     rows = []
     for x in _points(args.x, args.xmin, args.xmax, args.num, "x"):
         evaluation = kernels.evaluate(args.ell, x, method=args.method)
@@ -113,6 +126,8 @@ def cmd_kernel(args):
 
 
 def cmd_density(args):
+    from . import spectral
+
     rows = []
     for lam in _points(args.lam, args.lam_min, args.lam_max, args.num, "lambda"):
         point = spectral.density_rho(args.p, lam)
@@ -183,6 +198,8 @@ def _check(name, statement, measured, threshold):
 
 
 def _suite_identities(tol):
+    from .combinatorics import alternating_factorial_identity, sum_identity
+
     worst_sum = 0
     for kind in (1, 2, 3):
         for ell in range(1, 21):
@@ -210,6 +227,8 @@ def _suite_identities(tol):
 
 
 def _suite_fourier(tol):
+    from . import kernels, quadrature
+
     worst_xi = 0.0
     for ell in (1, 2, 3):
         for w in (0.0, 0.5, 1.0, 3.0):
@@ -239,6 +258,8 @@ def _suite_fourier(tol):
 
 
 def _suite_kernels(tol):
+    from . import kernels, quadrature
+
     worst_route = 0.0
     for ell in (1, 2, 3, 4):
         for x in (0.5, 1.0, 5.0, 20.0):
@@ -277,6 +298,7 @@ def _suite_kernels(tol):
 
 def _suite_operators(tol):
     from . import operators
+    from .specfun import L_MAX
 
     certificates = [operators.block_certificate(ell, 32) for ell in range(L_MAX + 1)]
     worst_cert = max(c.max_abs_deviation for c in certificates)
@@ -312,6 +334,8 @@ def _suite_operators(tol):
 
 
 def _suite_spectral(tol):
+    from . import spectral
+
     worst_p0 = 0.0
     worst_ph = 0.0
     for lam in (0.01, 0.1, 1.0, 4.0, 25.0):

@@ -17,12 +17,15 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .specfun import L_MAX
 
 # Gauss-Kronrod 7-15 constants on [-1, 1], positive half (descending),
-# regenerated from the Stieltjes polynomial orthogonality conditions in
-# 60-digit arithmetic and rounded to shortest-round-trip doubles.
+# generated from the Stieltjes polynomial orthogonality conditions in
+# 60-digit arithmetic and written to 17 significant digits; each is the
+# nearest double except _WGK[2], one unit in the last place below it.
+# tests/test_quadrature.py regenerates them.
 _XGK = (
     0.99145537112081264,
     0.94910791234275852,
@@ -230,15 +233,43 @@ def fourier_symbol_oracle(ell, x, tol=1e-13):
     return value.real
 
 
-def _xi_pow_reference(ell, w, tol=1e-11):
-    """Quadrature route for the transform of (1+t^2)^(-ell), independent
-    of the exponential-polynomial closed form.
+@lru_cache(maxsize=None)
+def _xi_pow_fourth_derivative_numerator(ell):
+    """Integer coefficients, constant term first, of P_4 in
+    f^(4) = P_4(t) (1+t^2)^(-ell-4), f = (1+t^2)^(-ell).
 
-    The slow t^(-2 ell) decay is handled by moving two derivatives onto
-    the algebraic factor, which turns the truncation error at cutoff T
-    into O(T^(-2 ell - 1)/w^2); the w = 0 case instead maps the tail to
-    [0, 1/T] by inversion. Every integrand is even in t, so each is
-    integrated over [0, T] only, at half the tolerance, and doubled.
+    P_0 = 1 and P_(n+1) = (1+t^2) P_n' - 2 (ell+n) t P_n.
+    """
+    poly = (1,)
+    for n in range(4):
+        step = [0] * (len(poly) + 1)
+        for k in range(1, len(poly)):
+            step[k - 1] += k * poly[k]
+            step[k + 1] += k * poly[k]
+        for k, c in enumerate(poly):
+            step[k + 1] -= 2 * (ell + n) * c
+        poly = tuple(step)
+    return poly
+
+
+def _xi_pow_reference(ell, w, tol=1e-11):
+    """Quadrature route for the transform of f = (1+t^2)^(-ell),
+    independent of the exponential-polynomial closed form.
+
+    The slow t^(-2 ell) decay is handled by moving four derivatives onto
+    f: the integral of f(t) cos(ut) over [0, inf) is u^-4 times that of
+    f^(4)(t) cos(ut), because f'(0) = f'''(0) = 0 and every other
+    boundary term vanishes. With f^(4) = P(t) (1+t^2)^(-ell-4),
+    P = sum_k c_k t^k, and (1+t^2)^(-ell-4) <= t^(-2 ell-8) for t > 0,
+
+        u^-4 int_T^inf |f^(4)| <= u^-4 sum_k |c_k| T^(k-2 ell-7) / (2 ell+7-k),
+
+    and the cut T is placed where that bound is 1e-13. The core runs at
+    tol u^4 / 2, which adds at most tol / sqrt(2 pi) to the result. The
+    u^-4 factor lifts the core's rounding as well, past tol below
+    |w| = 1/4 at some orders, so 0 < |w| < 1/4 is rejected. The w = 0
+    case instead maps the tail to [0, 1/T] by inversion. Every integrand
+    is even in t, so each is integrated over [0, T] only and doubled.
     """
     if not 1 <= ell <= L_MAX:
         raise ValueError(f"_xi_pow_reference: ell = {ell} outside [1, {L_MAX}]")
@@ -256,13 +287,23 @@ def _xi_pow_reference(ell, w, tol=1e-11):
             tol / 4.0,
         )
         return norm * 2.0 * (core.value + tail.value)
-    cut = (4.0 * ell / (u * u * 1e-11)) ** (1.0 / (2 * ell + 1))
+    if u < 0.25:
+        raise ValueError(f"_xi_pow_reference: |w| = {u} lies in (0, 1/4)")
+    coeffs = _xi_pow_fourth_derivative_numerator(ell)
+    # The bound is T^(-2 ell-3) times a sum that falls as T grows, so the
+    # sum taken at the cut of its leading term alone gives a cut where the
+    # whole bound holds.
+    power = 2 * ell + 3
+    weights = [abs(c) / (2 * ell + 7 - k) for k, c in enumerate(coeffs)]
+    target = 1e-13 * u**4
+    cut = (weights[4] / target) ** (1.0 / power)
+    cut = (sum(b * cut ** (k - 4) for k, b in enumerate(weights)) / target) ** (1.0 / power)
 
-    def negated_second_derivative(t):
-        s = 1.0 + t * t
-        return 2.0 * ell * s ** (-ell - 1.0) - 4.0 * ell * (ell + 1.0) * t * t * s ** (
-            -ell - 2.0
-        )
+    def fourth_derivative(t):
+        numerator = 0.0
+        for c in reversed(coeffs):
+            numerator = numerator * t + c
+        return numerator * (1.0 + t * t) ** (-ell - 4)
 
     spacing = math.pi / u
     count = int(cut / spacing)
@@ -271,14 +312,14 @@ def _xi_pow_reference(ell, w, tol=1e-11):
     _check_seed_panels(count + (count * spacing < cut), _XI_POW_MAX_PANELS)
     seeds = [k * spacing for k in range(1, count + 1)]
     core = integrate_adaptive(
-        lambda t: negated_second_derivative(t) * math.cos(u * t),
+        lambda t: fourth_derivative(t) * math.cos(u * t),
         0.0,
         cut,
-        tol / 2.0,
+        tol * u**4 / 2.0,
         breakpoints=seeds,
         max_panels=_XI_POW_MAX_PANELS,
     )
-    return norm * 2.0 * core.value / (u * u)
+    return norm * 2.0 * core.value / u**4
 
 
 def _poly_symbol_reference(ell, w, tol=1e-12):

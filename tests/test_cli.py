@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -133,6 +134,20 @@ def test_spectrum_out_file_atomic(tmp_path, capsys):
     assert leftovers == []
 
 
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+)
+def test_out_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
+    target = tmp_path / "kernel.csv"
+    previous = os.umask(umask)
+    try:
+        code, _ = run_cli(capsys, "kernel", "--ell", "1", "--x", "1.0", "--out", str(target))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
 def test_spectrum_rejects_oversized_request(capsys, monkeypatch):
     monkeypatch.setenv("HANKEL_SPECTRA_MAX_N", "16")
     code, _ = run_cli(capsys, "spectrum", "--ell", "0", "--size", "32")
@@ -236,7 +251,7 @@ def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ArithmeticError("synthetic loss of convergence")
 
-    monkeypatch.setattr(cli.kernels, "evaluate", explode)
+    monkeypatch.setattr("hankel_spectra.kernels.evaluate", explode)
     code, _ = run_cli(capsys, "kernel", "--ell", "1", "--x", "1.0")
     assert code == 3
 
@@ -370,12 +385,30 @@ def test_module_runs_without_installation():
 
 _NUMPY_FREE_START = """
 import contextlib, io, sys
+sys.modules.pop("tempfile", None)  # site may have loaded it; the CLI must not
+
+def loaded():
+    return {m for m in sys.modules if m.startswith("hankel_spectra")}
+
+import hankel_spectra
+assert loaded() == {"hankel_spectra"}, loaded()
 from hankel_spectra import cli
+assert loaded() == {"hankel_spectra", "hankel_spectra.cli"}, loaded()
+assert "tempfile" not in sys.modules, "importing the CLI loaded tempfile"
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0, argv
 
+# the command named on the command line runs first, in a process that has
+# loaded no other package module
+if sys.argv[1] == "density":
+    run("density", "--p", "-0.5", "--lambda-min", "0.1", "--lambda-max", "25", "--num", "4")
+    unused = {"kernels", "quadrature", "combinatorics"}
+else:
+    run("verify", "--suite", "identities")
+    unused = {"kernels", "quadrature", "spectral"}
+assert not loaded() & {"hankel_spectra." + m for m in unused}, (sys.argv[1], loaded())
 run("kernel", "--ell", "2", "--xmin", "0.05", "--xmax", "5", "--num", "4")
 run("density", "--p", "-0.5", "--lambda-min", "0.1", "--lambda-max", "25", "--num", "4")
 for suite in ("identities", "fourier", "kernels", "spectral"):
@@ -389,7 +422,11 @@ assert "numpy" in sys.modules, "blocks ran without numpy"
 def test_scalar_commands_start_without_numpy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_START], capture_output=True, text=True, env=env
-    )
-    assert result.returncode == 0, result.stderr
+    for first in ("density", "identities"):
+        result = subprocess.run(
+            [sys.executable, "-c", _NUMPY_FREE_START, first],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr

@@ -5,7 +5,12 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hankel_spectra import quadrature
+from hankel_spectra.kernels import fourier_xi_pow
 from hankel_spectra.quadrature import (
+    _WG,
+    _WGK,
+    _XGK,
     QuadratureBudgetError,
     QuadratureResult,
     _gk15_panel,
@@ -17,6 +22,60 @@ from hankel_spectra.quadrature import (
 )
 
 mp.mp.dps = 30
+
+
+def _gk15_at_60_digits():
+    """Gauss-Kronrod 7-15 nodes and weights on [-1, 1], positive half,
+    descending, in 60-digit arithmetic.
+
+    The Gauss nodes are the roots of P7. The Kronrod nodes are the roots
+    of the Stieltjes polynomial E8 = x^8 + c6 x^6 + c4 x^4 + c2 x^2 + c0,
+    defined by int P7 E8 x^k dx = 0 over [-1, 1] for k = 1, 3, 5, 7 (the
+    even k hold by parity). The Kronrod weights make the 15-point rule
+    exact on even powers up to x^14; the Gauss weights are
+    2 / ((1 - x^2) P7'(x)^2).
+    """
+    p7 = {7: 429, 5: -693, 3: 315, 1: -35}  # 16 P7(x)
+
+    def p7_moment(n):  # 16 times the integral of P7(x) x^n over [-1, 1]
+        return sum(mp.mpf(2 * c) / (d + n + 1) for d, c in p7.items() if (d + n) % 2 == 0)
+
+    def positive_roots_in_x2(coeffs):  # roots x > 0 of a polynomial in x^2
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+        return [mp.sqrt(mp.re(r)) for r in roots]
+
+    with mp.workdps(60):
+        odd = (1, 3, 5, 7)
+        system = mp.matrix([[p7_moment(e + k) for e in (0, 2, 4, 6)] for k in odd])
+        c0, c2, c4, c6 = mp.lu_solve(system, mp.matrix([-p7_moment(8 + k) for k in odd]))
+        kronrod = positive_roots_in_x2([1, c6, c4, c2, c0])
+        gauss = sorted(positive_roots_in_x2([429, -693, 315, -35]), reverse=True)
+        nodes = sorted(kronrod + gauss, reverse=True) + [mp.mpf(0)]
+        moments = mp.matrix(
+            [[2 * x ** (2 * j) for x in nodes[:7]] + [int(j == 0)] for j in range(8)]
+        )
+        wgk = mp.lu_solve(moments, mp.matrix([mp.mpf(2) / (2 * j + 1) for j in range(8)]))
+        p7_prime = [(7 * 429 * x**6 - 5 * 693 * x**4 + 3 * 315 * x**2 - 35) / 16
+                    for x in gauss + [mp.mpf(0)]]
+        wg = [2 / ((1 - x * x) * d**2) for x, d in zip(gauss + [mp.mpf(0)], p7_prime)]
+        return nodes, list(wgk), wg
+
+
+@pytest.mark.parametrize(
+    "index, constants, nearest_misses",
+    [(0, _XGK, []), (1, _WGK, [2]), (2, _WG, [])],
+    ids=["xgk", "wgk", "wg"],
+)
+def test_gk15_constants_match_a_60_digit_regeneration(index, constants, nearest_misses):
+    values = _gk15_at_60_digits()[index]
+    # The constants are the 60-digit values written to 17 significant digits.
+    assert constants == tuple(float(mp.nstr(v, 17)) for v in values)
+    # That is the nearest double everywhere but _WGK[2], whose 17-digit form
+    # parses one unit in the last place below it.
+    misses = [i for i, (c, v) in enumerate(zip(constants, values)) if c != float(v)]
+    assert misses == nearest_misses
+    for i in misses:
+        assert constants[i] == math.nextafter(float(values[i]), 0.0)
 
 
 @pytest.mark.parametrize("degree", range(0, 23))
@@ -138,6 +197,34 @@ def test_xi_pow_reference_low_order_closed_forms(w):
     got2 = _xi_pow_reference(2, w)
     want2 = math.pi / (2 * math.sqrt(2 * math.pi)) * math.exp(-w) * (1 + w)
     assert got2 == pytest.approx(want2, abs=1e-11)
+
+
+def test_xi_pow_reference_cost_and_accuracy(monkeypatch):
+    panels = []
+
+    def counting(*args, **kwargs):
+        result = integrate_adaptive(*args, **kwargs)
+        panels.append(result.evaluations // quadrature._EVALS_PER_PANEL)
+        return result
+
+    grid = (0.0, 0.5, 1.0, 3.0)
+    monkeypatch.setattr(quadrature, "integrate_adaptive", counting)
+    for ell in (1, 2, 3):  # the points of `verify --suite fourier`
+        for w in grid:
+            _xi_pow_reference(ell, w)
+    assert sum(panels) <= 1500
+    worst = max(
+        abs(fourier_xi_pow(ell, w) - _xi_pow_reference(ell, w))
+        for ell in range(1, 9)
+        for w in grid
+    )
+    assert worst <= 3.03e-12
+
+
+@pytest.mark.parametrize("w", [0.1, -0.2, 0.2499])
+def test_xi_pow_reference_rejects_small_nonzero_w(w):
+    with pytest.raises(ValueError, match=r"in \(0, 1/4\)"):
+        _xi_pow_reference(1, w)
 
 
 def test_poly_symbol_reference_order_zero():
