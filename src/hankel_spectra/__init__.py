@@ -28,15 +28,11 @@ _EXPORTS = {
         "symbol_psi_ell",
     ),
     "operators": (
-        "BlockCertificate",
         "HankelTruncation",
         "HilbertTypeMatrix",
         "SpectrumReport",
-        "block_certificate",
-        "fourier_coefficient",
         "hankel_truncation",
         "hilbert_type",
-        "max_truncation_size",
         "spectrum_report",
         "symm_eigen",
     ),
@@ -61,11 +57,15 @@ _EXPORTS = {
         "sinc_derivative",
     ),
     "spectral": (
+        "BlockCertificate",
         "DiagonalizationDescriptor",
         "SpectralDensityPoint",
+        "block_certificate",
         "block_parameters",
         "density_rho",
         "diagonalization_of",
+        "fourier_coefficient",
+        "max_truncation_size",
         "multiplier_h",
     ),
 }

@@ -9,10 +9,11 @@ package modules it uses when it runs:
 
 - ``kernel`` and ``verify --suite fourier|kernels``: ``kernels``, which
   loads ``quadrature``, ``combinatorics`` and ``specfun``;
-- ``density`` and ``verify --suite spectral``: ``spectral`` and ``specfun``;
+- ``density``, ``blocks`` and ``verify --suite spectral|operators``:
+  ``spectral`` and ``specfun``;
 - ``verify --suite identities``: ``combinatorics`` and ``specfun``;
-- ``spectrum``, ``blocks`` and ``verify --suite operators``: ``operators``,
-  which loads ``spectral``, ``specfun`` and NumPy.
+- ``spectrum``: ``operators``, which loads ``spectral``, ``specfun`` and
+  NumPy. It is the only command that loads NumPy.
 
 ``tempfile`` is imported only to write an --out file.
 
@@ -171,9 +172,9 @@ def cmd_spectrum(args):
 
 
 def cmd_blocks(args):
-    from . import operators
+    from . import spectral
 
-    certificate = operators.block_certificate(args.ell, args.size)
+    certificate = spectral.block_certificate(args.ell, args.size)
     document = {
         "command": "blocks",
         "ell": args.ell,
@@ -297,19 +298,22 @@ def _suite_kernels(tol):
 
 
 def _suite_operators(tol):
-    from . import operators
+    from . import spectral
     from .specfun import L_MAX
 
-    certificates = [operators.block_certificate(ell, 32) for ell in range(L_MAX + 1)]
+    certificates = [spectral.block_certificate(ell, 32) for ell in range(L_MAX + 1)]
     worst_cert = max(c.max_abs_deviation for c in certificates)
     worst_cross = max(c.cross_block_max for c in certificates)
     worst_conj = 0.0
-    signs = operators.alternating_signs(64)
+    size = 64
+    signs = [-1.0 if i % 2 else 1.0 for i in range(size)]
     for p in (0.5, -0.5, -1.5):
-        plain = operators.hilbert_type(p, 64, False).entries
-        checker = operators.hilbert_type(p, 64, True).entries
-        conjugated = checker * signs[:, None] * signs[None, :]
-        worst_conj = max(worst_conj, abs(conjugated - plain).max())
+        plain = spectral.hilbert_type_values(p, size)
+        checker = [-value if s % 2 else value for s, value in enumerate(plain)]
+        for i in range(size):
+            for j in range(size):
+                conjugated = checker[i + j] * signs[i] * signs[j]
+                worst_conj = max(worst_conj, abs(conjugated - plain[i + j]))
     return [
         _check(
             "block-certificates",

@@ -154,6 +154,16 @@ def test_spectrum_rejects_oversized_request(capsys, monkeypatch):
     assert code == 2
 
 
+def test_blocks_applies_the_size_cap_to_twice_the_size(capsys, monkeypatch):
+    # the certificate reads the size-2N truncation
+    monkeypatch.setenv("HANKEL_SPECTRA_MAX_N", "16")
+    code, _ = run_cli(capsys, "blocks", "--ell", "2", "--size", "8")
+    assert code == 0
+    code, out = run_cli(capsys, "blocks", "--ell", "2", "--size", "9")
+    assert code == 2
+    assert out == ""
+
+
 def test_blocks_even_payload(capsys):
     code, out = run_cli(capsys, "blocks", "--ell", "4", "--size", "16")
     assert code == 0
@@ -204,16 +214,16 @@ def test_verify_accepts_zero_tolerance(capsys):
 
 
 def test_verify_operators_certifies_every_order(capsys, monkeypatch):
-    from hankel_spectra import operators
+    from hankel_spectra import spectral
 
     certified = []
-    certify = operators.block_certificate
+    certify = spectral.block_certificate
 
     def spy(ell, n):
         certified.append(ell)
         return certify(ell, n)
 
-    monkeypatch.setattr(operators, "block_certificate", spy)
+    monkeypatch.setattr(spectral, "block_certificate", spy)
     code, _ = run_cli(capsys, "verify", "--suite", "operators")
     assert code == 0
     assert certified == list(range(9))
@@ -404,25 +414,29 @@ def run(*argv):
 # loaded no other package module
 if sys.argv[1] == "density":
     run("density", "--p", "-0.5", "--lambda-min", "0.1", "--lambda-max", "25", "--num", "4")
-    unused = {"kernels", "quadrature", "combinatorics"}
+    unused = {"kernels", "quadrature", "combinatorics", "operators"}
+elif sys.argv[1] == "blocks":
+    run("blocks", "--ell", "3", "--size", "8")
+    unused = {"kernels", "quadrature", "combinatorics", "operators"}
 else:
     run("verify", "--suite", "identities")
     unused = {"kernels", "quadrature", "spectral"}
 assert not loaded() & {"hankel_spectra." + m for m in unused}, (sys.argv[1], loaded())
 run("kernel", "--ell", "2", "--xmin", "0.05", "--xmax", "5", "--num", "4")
 run("density", "--p", "-0.5", "--lambda-min", "0.1", "--lambda-max", "25", "--num", "4")
-for suite in ("identities", "fourier", "kernels", "spectral"):
+for suite in ("identities", "fourier", "kernels", "spectral", "operators"):
     run("verify", "--suite", suite)
-assert "numpy" not in sys.modules, "a scalar command imported numpy"
-run("blocks", "--ell", "2", "--size", "8")
-assert "numpy" in sys.modules, "blocks ran without numpy"
+run("blocks", "--ell", "2", "--size", "8", "--format", "csv")
+assert "numpy" not in sys.modules, "a command other than spectrum imported numpy"
+run("spectrum", "--ell", "1", "--size", "4")
+assert "numpy" in sys.modules, "spectrum ran without numpy"
 """
 
 
 def test_scalar_commands_start_without_numpy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    for first in ("density", "identities"):
+    for first in ("density", "blocks", "identities"):
         result = subprocess.run(
             [sys.executable, "-c", _NUMPY_FREE_START, first],
             capture_output=True,

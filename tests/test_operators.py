@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hankel_spectra import operators as op
+from hankel_spectra import spectral
 
 
 def test_fourier_coefficient_values():
@@ -98,28 +99,30 @@ def test_odd_block_certificates(m):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_block_certificates_catch_a_perturbed_block(monkeypatch, parity, rows, cols):
+    # Parity slice (rows, cols) of the size-2n truncation reads the values
+    # d[2s + rows + cols], s < 2n - 1, of the coefficient list; the four
+    # slices together read all 4n - 1 of them. Each is perturbed in turn.
     delta = 1e-6
-    exact = op.hankel_truncation
+    n = 8
+    ell = 2 if parity == "even" else 3
+    allowed = (rows + cols) % 2 == ell % 2
+    exact = spectral.truncation_values
+    for s in range(2 * n - 1):
+        index = 2 * s + rows + cols
 
-    def perturbed(ell, n):
-        entries = exact(ell, n).entries.copy()
-        entries[rows + 2, cols + 4] += delta
-        return op.HankelTruncation(ell=ell, size=n, entries=entries)
+        def perturbed(order, size):
+            values = exact(order, size)
+            values[index] += delta
+            return values
 
-    monkeypatch.setattr(op, "hankel_truncation", perturbed)
-    if parity == "even":
-        cert = op.block_certificate(2, 8)
-        allowed = rows == cols
-    else:
-        cert = op.block_certificate(3, 8)
-        allowed = rows != cols
-    if allowed:
-        # the odd-order rotation spreads the error over two blocks at half size
-        assert cert.max_abs_deviation >= 0.4 * delta
-        assert cert.cross_block_max == 0.0
-    else:
-        assert cert.cross_block_max >= delta
-        assert cert.max_abs_deviation <= 1e-13
+        monkeypatch.setattr(spectral, "truncation_values", perturbed)
+        cert = op.block_certificate(ell, n)
+        if allowed:
+            assert cert.max_abs_deviation >= 0.4 * delta, index
+            assert cert.cross_block_max == 0.0, index
+        else:
+            assert cert.cross_block_max >= delta, index
+            assert cert.max_abs_deviation <= 1e-13, index
 
 
 def _dense_truncation(ell, n):
@@ -185,7 +188,7 @@ def test_hilbert_type_are_read_only_windows_on_the_dense_values(n, alternating):
         assert _same_bits(entries, _dense_hilbert(p, n, alternating))
 
 
-@pytest.mark.parametrize("n", [8, 33])
+@pytest.mark.parametrize("n", [1, 2, 8, 33, 300])
 @pytest.mark.parametrize("ell", range(9))
 def test_block_certificates_match_the_dense_computation_bit_for_bit(ell, n):
     cert = op.block_certificate(ell, n)
@@ -195,16 +198,16 @@ def test_block_certificates_match_the_dense_computation_bit_for_bit(ell, n):
 
 @pytest.mark.parametrize("ell", [2, 3], ids=["even", "odd"])
 def test_block_certificates_allocate_a_few_blocks_at_most(ell):
-    # a dense index matrix, a gathered truncation and dense targets cost
-    # 9-10 blocks of n^2 doubles; windows leave the products of the blocks
-    n = 512
-    tracemalloc.start()
-    try:
-        op.block_certificate(ell, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * n * n * 8
+    # the certificate reads 4n - 1 coefficients and 2n - 1 target values,
+    # a few hundred bytes per n; one n x n block of doubles is 8 n^2
+    for n in (512, 2048):
+        tracemalloc.start()
+        try:
+            op.block_certificate(ell, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * n, (n, peak)
 
 
 @pytest.mark.parametrize(
