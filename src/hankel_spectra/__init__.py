@@ -23,8 +23,6 @@ _EXPORTS = {
         "k_closed",
         "k_conv",
         "lp_diagnostic",
-        "p_term",
-        "q_term",
         "symbol_psi_ell",
     ),
     "operators": (

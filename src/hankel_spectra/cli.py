@@ -479,8 +479,37 @@ def _build_parser():
     return parser
 
 
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv):
+    """argparse reads a value such as -2e-2 as a flag (its negative-number
+    pattern has no exponent), so each --flag followed by a token that
+    starts with '-' and parses as a float becomes --flag=token."""
+    joined = []
+    for token in argv:
+        previous = joined[-1] if joined else ""
+        if (
+            previous.startswith("--")
+            and "=" not in previous
+            and not "--help".startswith(previous)
+            and token.startswith("-")
+            and _is_float(token)
+        ):
+            joined[-1] = f"{previous}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except ValueError as error:

@@ -2,20 +2,21 @@
 
 Four independent evaluations coexist here. The Fourier building blocks
 (fourier_xi_pow, fourier_psi_tilde) feed the convolution route k_conv;
-the fully explicit route k_closed sums exponential-integral terms
-(p_term, q_term), collapsed once per order into an exact linear form
-over A(x) x^k, sin(x) x^k, cos(x) x^k and sinc derivatives, with
-p_term and q_term kept as its term-by-term reference;
-fourier_symbol_oracle from the quadrature module is the slow reference;
-and k_asymptotic is the large-x limit shape. Their mutual agreement is
-the package's main correctness argument, so none of them is allowed to
-call into another's machinery.
+the fully explicit route k_closed sums exponential-integral terms,
+collapsed once per order into an exact linear form over A(x) x^k,
+sin(x) x^k, cos(x) x^k and sinc derivatives (the tests keep the
+term-by-term pieces as its reference); fourier_symbol_oracle from the
+quadrature module is the slow reference; and k_asymptotic is the large-x
+limit shape. Their mutual agreement is the package's main correctness
+argument, so none of them is allowed to call into another's machinery.
+
+Every route returns a ``KernelEvaluation`` named tuple.
 """
 
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,12 +30,8 @@ _SQRT_8_OVER_PI = math.sqrt(8.0 / math.pi)
 _LP_MAX_PANELS = 80_000
 
 
-@dataclass(frozen=True, slots=True)
-class KernelEvaluation:
-    x: float
-    value: float
-    route: str  # closed | convolution | oracle
-    error_estimate: float
+# x, value and error_estimate floats; route "closed", "convolution" or "oracle"
+KernelEvaluation = namedtuple("KernelEvaluation", "x value route error_estimate")
 
 
 def symbol_psi_ell(ell, t):
@@ -155,99 +152,6 @@ def _a_value(x):
     return math.pi * math.exp(-x) + (cmath.exp(complex(0.0, -x)) * e1_scaled(z)).imag
 
 
-def _b_value(x):
-    # integral over (0, inf) of e^(-y) sinc(x + y) dy = -e^x Im E1(x + ix)
-    z = complex(x, x)
-    return -(cmath.exp(complex(0.0, -x)) * e1_scaled(z)).imag
-
-
-def _falling(m, j):
-    # m!/(m-j)! as an exact float (tiny integers here)
-    return float(math.factorial(m) // math.factorial(m - j))
-
-
-def _poly_block(sign, m, n, j_max, x, ab):
-    # The shared polynomial-and-trig block of the explicit terms. For the
-    # minus sign: sum_j C(n,j)(-1)^(n-j) m!/(m-j)! [ A x^(m-j) +
-    # sum_r (r-1)!/2^(r/2) sin(r pi/4 - x) x^(m-j-r) ], and the plus sign
-    # swaps in (-1)^m B, sin(r pi/4 + x) and the factor (-1)^(m-r).
-    total = 0.0
-    for j in range(j_max + 1):
-        weight = math.comb(n, j) * _falling(m, j)
-        if sign == "-":
-            if (n - j) % 2 == 1:
-                weight = -weight
-            inner = ab * x ** (m - j)
-            for r in range(1, m - j + 1):
-                inner += (
-                    math.factorial(r - 1)
-                    / 2.0 ** (0.5 * r)
-                    * math.sin(0.25 * r * math.pi - x)
-                    * x ** (m - j - r)
-                )
-        else:
-            inner = ab * x ** (m - j)
-            if m % 2 == 1:
-                inner = -inner
-            for r in range(1, m - j + 1):
-                piece = (
-                    math.factorial(r - 1)
-                    / 2.0 ** (0.5 * r)
-                    * math.sin(0.25 * r * math.pi + x)
-                    * x ** (m - j - r)
-                )
-                if (m - r) % 2 == 1:
-                    piece = -piece
-                inner += piece
-        total += weight * inner
-    return total
-
-
-def _check_term_args(name, sign, x):
-    if sign not in ("-", "+"):
-        raise ValueError(f"sign must be '-' or '+', got {sign!r}")
-    if not math.isfinite(x):
-        raise ValueError(f"{name}: x = {x} must be finite")
-    if x <= 0.0:
-        raise ValueError(f"{name}: x = {x} must be positive")
-
-
-def p_term(sign, m, n, x):
-    """Closed form of the integral of y^m e^(-y) sinc^(n)(x -+ y) over
-    (0, inf) in the regime n <= m.
-
-    Evaluated term by term; k_closed uses the same algebra collapsed once
-    per order, and this stays as its reference."""
-    if not 0 <= n <= m <= L_MAX - 1:
-        raise ValueError(f"p_term: need 0 <= n <= m <= {L_MAX - 1}, got m={m}, n={n}")
-    _check_term_args("p_term", sign, x)
-    ab = _a_value(x) if sign == "-" else _b_value(x)
-    return _poly_block(sign, m, n, n, x, ab)
-
-
-def q_term(sign, m, n, x):
-    """Closed form of the same integral in the regime n > m, where the
-    repeated integrations by parts leave extra sinc-derivative boundary
-    terms at the origin. Term by term, like p_term."""
-    if not (0 <= m <= L_MAX - 1 and m < n <= 2 * L_MAX):
-        raise ValueError(
-            f"q_term: need 0 <= m <= {L_MAX - 1} and m < n <= {2 * L_MAX}, "
-            f"got m={m}, n={n}"
-        )
-    _check_term_args("q_term", sign, x)
-    boundary = 0.0
-    for s in range(n - m):
-        piece = math.factorial(n - s - 1) // math.factorial(n - m - s - 1)
-        if sign == "-" and s % 2 == 1:
-            piece = -piece
-        boundary += piece * sinc_derivative(s, x)
-    flip = (n - m - 1) % 2 if sign == "-" else (m + 1) % 2
-    if flip:
-        boundary = -boundary
-    ab = _a_value(x) if sign == "-" else _b_value(x)
-    return boundary + _poly_block(sign, m, n, m, x, ab)
-
-
 @lru_cache(maxsize=None)
 def _closed_form(ell):
     # The whole (m, n) sum of p/q terms behind k_closed, weighted by
@@ -304,7 +208,7 @@ def _closed_form(ell):
 def k_closed(ell, x):
     """Kernel value through the explicit exponential-integral formula.
 
-    The sum of p_term/q_term pieces over (m, n) is a fixed rational linear
+    The sum of the term-by-term pieces over (m, n) is a fixed rational linear
     combination of A(x) x^k, sin(x) x^k, cos(x) x^k (k < ell) and sinc
     derivatives, with A the damped sinc integral behind the E1(-x + ix)
     terms; the E1(x + ix) terms cancel exactly. Its coefficients are

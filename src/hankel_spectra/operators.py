@@ -24,13 +24,17 @@ Hilbert-type matrix is a read-only (N, N) Hankel window over them
 (``sliding_window_view``), and entries[i, j] is value i + j. It reads
 like any array; a caller who wants to write to it copies it first.
 
+The three records are ``collections.namedtuple`` types. They hold NumPy
+arrays, so two distinct records do not compare with ``==`` (the array
+comparison raises, as it does for bare arrays) and are unhashable.
+
 This is the one module of the package that imports NumPy. The block
 certificates, the size cap and the coefficients live in the NumPy-free
 ``spectral`` and are re-exported here.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -48,28 +52,16 @@ from .spectral import (  # the certificate and the cap are re-exported
 _JACOBI_MAX_SWEEPS = 50
 
 
-@dataclass(frozen=True, eq=False)
-class HankelTruncation:
-    ell: int
-    size: int
-    entries: np.ndarray
+# ell and size ints, entries the read-only (size, size) Hankel window
+HankelTruncation = namedtuple("HankelTruncation", "ell size entries")
 
+# p a float, size an int, alternating a bool, entries as above
+HilbertTypeMatrix = namedtuple("HilbertTypeMatrix", "p size alternating entries")
 
-@dataclass(frozen=True, eq=False)
-class HilbertTypeMatrix:
-    p: float
-    size: int
-    alternating: bool
-    entries: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumReport:
-    eigenvalues: np.ndarray
-    min: float
-    max: float
-    containment_violation: float
-    coverage_gap: float
+# eigenvalues an ascending NumPy array, the other four floats
+SpectrumReport = namedtuple(
+    "SpectrumReport", "eigenvalues min max containment_violation coverage_gap"
+)
 
 
 def _hankel_window(diagonal, n):

@@ -9,14 +9,14 @@ deterministic; final values are summed left to right.
 
 These routines are the ground truth the closed-form modules are tested
 against, so they deliberately know nothing about those closed forms.
-"""
 
-from __future__ import annotations
+Each integral comes back as a ``QuadratureResult`` named tuple.
+"""
 
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .specfun import L_MAX
@@ -59,13 +59,8 @@ DEFAULT_MAX_PANELS = 10_000
 _XI_POW_MAX_PANELS = 20_000
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Value, accumulated error estimate and evaluation count of a quadrature."""
-
-    value: float | complex
-    abs_error_estimate: float
-    evaluations: int
+# value (float or complex), accumulated error estimate and evaluation count
+QuadratureResult = namedtuple("QuadratureResult", "value abs_error_estimate evaluations")
 
 
 class QuadratureBudgetError(RuntimeError):

@@ -8,7 +8,6 @@ two families of damped integrals with elementary closed forms.
 
 import cmath
 import math
-from fractions import Fraction
 
 L_MAX = 8
 
@@ -276,6 +275,8 @@ def damped_moment_shifted(n, a, x):
 def _trig_moment_coefficient(m):
     # m!/2^((m-1)/2) * cos((m+1) pi/4), exact: the residue of (m+1) mod 8
     # decides the sign and whether the half-power of 2 survives.
+    from fractions import Fraction
+
     r = (m + 1) % 8
     if r in (2, 6):
         return Fraction(0)

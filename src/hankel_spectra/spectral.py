@@ -14,12 +14,15 @@ works on the 2N - 1 anti-diagonal values that fix a size-N matrix:
 ``hilbert_type_values`` (1/(1 + s - p)). ``operators`` builds its NumPy
 matrices as windows over the same two lists; this module imports only
 the standard library and ``specfun``.
+
+The four result records are ``collections.namedtuple`` types: immutable,
+compared and hashed by value, and free of the ``dataclasses`` import.
 """
 
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .specfun import L_MAX, gamma_abs_sq, log_gamma_abs_sq
@@ -29,35 +32,20 @@ DEFAULT_MAX_SIZE = 4096
 _MAX_SIZE_ENV = "HANKEL_SPECTRA_MAX_N"
 
 
-@dataclass(frozen=True)
-class SpectralDensityPoint:
-    p: float
-    lam: float
-    rho: object  # float, or None where it overflows a double
-    log_rho: float
+# floats; rho is None where it overflows a double
+SpectralDensityPoint = namedtuple("SpectralDensityPoint", "p lam rho log_rho")
 
+# sign +1.0 or -1.0, scale always 1/pi, p a float, density the callable
+# lam -> rho_p(lam)
+DiagonalBlock = namedtuple("DiagonalBlock", "sign scale p density")
 
-@dataclass(frozen=True)
-class DiagonalBlock:
-    sign: float  # +1.0 or -1.0
-    scale: float  # always 1/pi
-    p: float
-    density: object  # callable lam -> rho_p(lam)
+# ell an int, blocks the two DiagonalBlock records
+DiagonalizationDescriptor = namedtuple("DiagonalizationDescriptor", "ell blocks")
 
-
-@dataclass(frozen=True)
-class DiagonalizationDescriptor:
-    ell: int
-    blocks: tuple  # two DiagonalBlock records
-
-
-@dataclass(frozen=True, eq=False)
-class BlockCertificate:
-    parity: str  # even | odd
-    m: int
-    size: int
-    max_abs_deviation: float
-    cross_block_max: float
+# parity "even" or "odd", m and size ints, the two maxima floats
+BlockCertificate = namedtuple(
+    "BlockCertificate", "parity m size max_abs_deviation cross_block_max"
+)
 
 
 def max_truncation_size():

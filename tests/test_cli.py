@@ -248,6 +248,7 @@ def test_verify_unreachable_tolerance_fails(capsys):
         ("verify", "--suite", "operators", "--tol", "nan"),
         ("verify", "--suite", "fourier", "--tol", "-1"),
         ("verify", "--suite", "identities", "--tol", "-1"),
+        ("kernel", "--ell", "1", "--x", "-inf"),
     ],
 )
 def test_non_finite_float_flags_exit_two(capsys, argv):
@@ -255,6 +256,27 @@ def test_non_finite_float_flags_exit_two(capsys, argv):
         cli.main(list(argv))
     assert exit_info.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (("kernel", "--ell", "2", "--x", "-2e-2"), ("kernel", "--ell", "2", "--x=-2e-2")),
+        (
+            ("kernel", "--ell", "1", "--xmin", "-1e-3", "--xmax", "1e-1", "--num", "3"),
+            ("kernel", "--ell", "1", "--xmin=-1e-3", "--xmax", "1e-1", "--num", "3"),
+        ),
+        (("density", "--p", "-1e-3", "--lambda", "2"), ("density", "--p=-1e-3", "--lambda", "2")),
+    ],
+    ids=["kernel-x", "kernel-xmin", "density-p"],
+)
+def test_negative_values_in_exponent_notation_are_values(capsys, spaced, joined):
+    # argparse's negative-number pattern has no exponent, so it would
+    # read -2e-2 as a flag
+    code, out = run_cli(capsys, *spaced)
+    assert code == 0
+    assert out
+    assert run_cli(capsys, *joined) == (0, out)
 
 
 def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
@@ -395,7 +417,9 @@ def test_module_runs_without_installation():
 
 _NUMPY_FREE_START = """
 import contextlib, io, sys
-sys.modules.pop("tempfile", None)  # site may have loaded it; the CLI must not
+# site may have loaded these; the CLI must not
+for name in ("tempfile", "dataclasses", "inspect", "fractions"):
+    sys.modules.pop(name, None)
 
 def loaded():
     return {m for m in sys.modules if m.startswith("hankel_spectra")}
@@ -422,12 +446,17 @@ else:
     run("verify", "--suite", "identities")
     unused = {"kernels", "quadrature", "spectral"}
 assert not loaded() & {"hankel_spectra." + m for m in unused}, (sys.argv[1], loaded())
+if sys.argv[1] != "identities":
+    stdlib = {"dataclasses", "inspect", "fractions"} & set(sys.modules)
+    assert not stdlib, (sys.argv[1], stdlib)
 run("kernel", "--ell", "2", "--xmin", "0.05", "--xmax", "5", "--num", "4")
 run("density", "--p", "-0.5", "--lambda-min", "0.1", "--lambda-max", "25", "--num", "4")
 for suite in ("identities", "fourier", "kernels", "spectral", "operators"):
     run("verify", "--suite", suite)
 run("blocks", "--ell", "2", "--size", "8", "--format", "csv")
 assert "numpy" not in sys.modules, "a command other than spectrum imported numpy"
+stdlib = {"dataclasses", "inspect"} & set(sys.modules)
+assert not stdlib, f"a command other than spectrum imported {stdlib}"
 run("spectrum", "--ell", "1", "--size", "4")
 assert "numpy" in sys.modules, "spectrum ran without numpy"
 """

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -16,8 +17,6 @@ from hankel_spectra.kernels import (
     k_closed,
     k_conv,
     lp_diagnostic,
-    p_term,
-    q_term,
     symbol_psi_ell,
 )
 from hankel_spectra.quadrature import (
@@ -35,6 +34,8 @@ from hankel_spectra.specfun import (
     sinc,
     sinc_derivative,
 )
+
+from kernel_terms import p_term, q_term
 
 
 def test_symbol_is_unimodular_times_two_on_support():
@@ -207,6 +208,17 @@ def test_kernel_evaluation_is_a_slotted_value():
         x=record.x, value=record.value, route="closed", error_estimate=record.error_estimate
     )
     assert hash(record) == hash(evaluate(1, 1.0))
+
+
+def test_kernel_evaluation_is_an_immutable_named_tuple():
+    record = evaluate(2, 0.05)
+    assert KernelEvaluation._fields == ("x", "value", "route", "error_estimate")
+    for field in KernelEvaluation._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is KernelEvaluation
+    assert restored == record
 
 
 def test_kernel_values_stay_inside_symbol_bound():

@@ -379,3 +379,30 @@ def test_hilbert_type_spectrum_range(p):
         vals = op.symm_eigen(op.hilbert_type(p, n, False).entries)
         assert vals[0] > -1e-12
         assert vals[-1] < math.pi - 1e-6
+
+
+_RECORDS = [
+    (op.HankelTruncation, ("ell", "size", "entries"), lambda: op.hankel_truncation(2, 4)),
+    (
+        op.HilbertTypeMatrix,
+        ("p", "size", "alternating", "entries"),
+        lambda: op.hilbert_type(-0.5, 4, alternating=True),
+    ),
+    (
+        op.SpectrumReport,
+        ("eigenvalues", "min", "max", "containment_violation", "coverage_gap"),
+        lambda: op.spectrum_report(1, 4),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, fields, build", _RECORDS, ids=[kind.__name__ for kind, _, _ in _RECORDS]
+)
+def test_records_are_immutable_named_tuples(kind, fields, build):
+    record = build()
+    assert type(record) is kind
+    assert kind._fields == fields
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

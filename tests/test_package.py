@@ -22,6 +22,14 @@ def test_operators_names_are_the_module_objects():
     assert hankel_spectra.BlockCertificate is operators.BlockCertificate
 
 
+def test_term_by_term_reference_is_not_exported():
+    # p_term and q_term live with the tests (tests/kernel_terms.py)
+    for name in ("p_term", "q_term"):
+        assert name not in hankel_spectra.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(hankel_spectra, name)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         hankel_spectra.no_such_name

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import mpmath as mp
@@ -291,3 +292,14 @@ def test_panel_budget_is_checked_before_the_seeds_are_built(call):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_quadrature_result_is_an_immutable_named_tuple():
+    record = integrate_adaptive(math.exp, 0.0, 1.0, 1e-12)
+    assert QuadratureResult._fields == ("value", "abs_error_estimate", "evaluations")
+    for field in QuadratureResult._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is QuadratureResult
+    assert restored == record

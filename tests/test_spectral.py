@@ -1,12 +1,17 @@
 import math
+import pickle
 import sys
+from functools import partial
 
 import pytest
 
 from hankel_spectra import operators as op
 from hankel_spectra.spectral import (
+    BlockCertificate,
+    DiagonalBlock,
     DiagonalizationDescriptor,
     SpectralDensityPoint,
+    block_certificate,
     density_rho,
     diagonalization_of,
     multiplier_h,
@@ -161,3 +166,38 @@ def test_diagonalization_validation():
         diagonalization_of(9)
     with pytest.raises(ValueError):
         diagonalization_of(-1)
+
+
+def _by_value(value):
+    # a functools.partial compares by identity; compare what it calls
+    if isinstance(value, partial):
+        return value.func, value.args, value.keywords
+    if isinstance(value, tuple):
+        return type(value), tuple(_by_value(item) for item in value)
+    return value
+
+
+_RECORDS = [
+    (SpectralDensityPoint, ("p", "lam", "rho", "log_rho"), lambda: density_rho(-0.5, 2.0)),
+    (DiagonalBlock, ("sign", "scale", "p", "density"), lambda: diagonalization_of(3).blocks[0]),
+    (DiagonalizationDescriptor, ("ell", "blocks"), lambda: diagonalization_of(3)),
+    (
+        BlockCertificate,
+        ("parity", "m", "size", "max_abs_deviation", "cross_block_max"),
+        lambda: block_certificate(3, 8),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, fields, build", _RECORDS, ids=[kind.__name__ for kind, _, _ in _RECORDS]
+)
+def test_records_are_immutable_named_tuples(kind, fields, build):
+    record = build()
+    assert type(record) is kind
+    assert kind._fields == fields
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    restored = pickle.loads(pickle.dumps(record))
+    assert _by_value(restored) == _by_value(record)
