@@ -56,14 +56,12 @@ _EXPORTS = {
     ),
     "spectral": (
         "BlockCertificate",
-        "DiagonalizationDescriptor",
+        "MAX_TRUNCATION_SIZE",
         "SpectralDensityPoint",
         "block_certificate",
         "block_parameters",
         "density_rho",
-        "diagonalization_of",
         "fourier_coefficient",
-        "max_truncation_size",
         "multiplier_h",
     ),
 }

@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from .specfun import L_MAX
+from .specfun import L_MAX, _check_int
 
 
 def p_poly(ell):
@@ -12,8 +12,7 @@ def p_poly(ell):
     p_ell(w) = sum_{j=0}^{ell-1} 2^(-j) C(ell+j-1, ell-1) w^(ell-j-1)/(ell-j-1)!
     reindexed by degree d = ell-j-1.
     """
-    if not 1 <= ell <= L_MAX:
-        raise ValueError(f"p_poly: ell = {ell} outside [1, {L_MAX}]")
+    ell = _check_int("p_poly", "ell", ell, 1, L_MAX)
     return [
         Fraction(math.comb(2 * ell - 2 - d, ell - 1), 2 ** (ell - 1 - d) * math.factorial(d))
         for d in range(ell)
@@ -49,8 +48,8 @@ def sum_identity(kind, ell):
     kind 2: sum_n (-1)^n C(2 ell, 2n) = cos(ell pi/2) 2^ell
     kind 3: sum_n (-1)^(n+1) C(2 ell, 2n+1) = sin(-ell pi/2) 2^ell
     """
-    if ell < 1:
-        raise ValueError(f"sum_identity: ell = {ell} must be >= 1")
+    kind = _check_int("sum_identity", "kind", kind, 1, 3)
+    ell = _check_int("sum_identity", "ell", ell, 1)
     if kind == 1:
         lhs = sum(_kind1_term(ell, j) for j in range(ell))
         return lhs, Fraction(1)
@@ -58,20 +57,15 @@ def sum_identity(kind, ell):
         lhs = sum((-1) ** n * math.comb(2 * ell, 2 * n) for n in range(ell + 1))
         rhs = {0: 2**ell, 1: 0, 2: -(2**ell), 3: 0}[ell % 4]
         return lhs, rhs
-    if kind == 3:
-        lhs = sum((-1) ** (n + 1) * math.comb(2 * ell, 2 * n + 1) for n in range(ell))
-        rhs = {0: 0, 1: -(2**ell), 2: 0, 3: 2**ell}[ell % 4]
-        return lhs, rhs
-    raise ValueError(f"sum_identity: kind must be 1, 2 or 3, got {kind!r}")
+    lhs = sum((-1) ** (n + 1) * math.comb(2 * ell, 2 * n + 1) for n in range(ell))
+    rhs = {0: 0, 1: -(2**ell), 2: 0, 3: 2**ell}[ell % 4]
+    return lhs, rhs
 
 
 def alternating_factorial_identity(m, r):
     """lhs = sum_{j=r}^{m} (-1)^j C(m,j) (j-1)!/(j-r)!, rhs = (-1)^r (r-1)!."""
-    if not 1 <= r <= m <= 2 * L_MAX:
-        raise ValueError(
-            f"alternating_factorial_identity: need 1 <= r <= m <= {2 * L_MAX}, "
-            f"got m = {m}, r = {r}"
-        )
+    m = _check_int("alternating_factorial_identity", "m", m, 1, 2 * L_MAX)
+    r = _check_int("alternating_factorial_identity", "r", r, 1, m)
     lhs = sum(
         (-1) ** j * math.comb(m, j) * math.factorial(j - 1) // math.factorial(j - r)
         for j in range(r, m + 1)

@@ -1,14 +1,16 @@
 """The kernel family k^(l) by every available route.
 
-Four independent evaluations coexist here. The Fourier building blocks
-(fourier_xi_pow, fourier_psi_tilde) feed the convolution route k_conv;
-the fully explicit route k_closed sums exponential-integral terms,
-collapsed once per order into an exact linear form over A(x) x^k,
-sin(x) x^k, cos(x) x^k and sinc derivatives (the tests keep the
-term-by-term pieces as its reference); fourier_symbol_oracle from the
-quadrature module is the slow reference; and k_asymptotic is the large-x
-limit shape. Their mutual agreement is the package's main correctness
-argument, so none of them is allowed to call into another's machinery.
+Four independent evaluations coexist here. The convolution route k_conv
+integrates the private pieces behind the Fourier building blocks
+fourier_xi_pow and fourier_psi_tilde (p_ell and the alternating
+sinc-derivative sum); the fully explicit route k_closed sums
+exponential-integral terms, collapsed once per order into an exact
+linear form over A(x) x^k, sin(x) x^k, cos(x) x^k and sinc derivatives
+(the tests keep the term-by-term pieces as its reference);
+fourier_symbol_oracle from the quadrature module is the slow reference;
+and k_asymptotic is the large-x limit shape. Their mutual agreement is
+the package's main correctness argument, so none of them is allowed to
+call into another's machinery.
 
 Every route returns a ``KernelEvaluation`` named tuple.
 """
@@ -22,7 +24,15 @@ from functools import lru_cache
 
 from . import quadrature
 from .combinatorics import p_poly
-from .specfun import L_MAX, e1_scaled, sinc, sinc_derivative
+from .specfun import (
+    L_MAX,
+    _check_finite,
+    _check_int,
+    _sinc_derivative,
+    e1_scaled,
+    sinc,
+    sinc_derivative,
+)
 
 X_MIN_CLOSED = 1e-3
 
@@ -36,8 +46,8 @@ KernelEvaluation = namedtuple("KernelEvaluation", "x value route error_estimate"
 
 def symbol_psi_ell(ell, t):
     """Symbol value 2 ((1+it)/(1-it))^ell on [-1, 1], zero outside."""
-    if not 0 <= ell <= L_MAX:
-        raise ValueError(f"symbol_psi_ell: ell = {ell} outside [0, {L_MAX}]")
+    ell = _check_int("symbol_psi_ell", "ell", ell, 0, L_MAX)
+    _check_finite("symbol_psi_ell", "t", t)
     if abs(t) > 1.0:
         return 0.0 + 0.0j
     return 2.0 * (complex(1.0, t) / complex(1.0, -t)) ** ell
@@ -59,8 +69,8 @@ def _p_poly_eval(ell, u):
 def fourier_xi_pow(ell, w):
     """Fourier transform of (1+t^2)^(-ell): a decaying exponential times
     the positive polynomial p_ell, scaled by (1/sqrt(2 pi)) pi/2^(ell-1)."""
-    if not 1 <= ell <= L_MAX:
-        raise ValueError(f"fourier_xi_pow: ell = {ell} outside [1, {L_MAX}]")
+    ell = _check_int("fourier_xi_pow", "ell", ell, 1, L_MAX)
+    _check_finite("fourier_xi_pow", "w", w)
     u = abs(w)
     scale = math.pi / (2.0 ** (ell - 1) * math.sqrt(2.0 * math.pi))
     return scale * math.exp(-u) * _p_poly_eval(ell, u)
@@ -73,15 +83,15 @@ def _alt_sinc_sum(ell, u):
         coef = math.comb(2 * ell, n)
         if n % 2 == 1:
             coef = -coef
-        total += coef * sinc_derivative(n, u)
+        total += coef * _sinc_derivative(n, u)
     return total
 
 
 def fourier_psi_tilde(ell, w):
     """Fourier transform of the polynomial part of the symbol: the
     alternating binomial sum of sinc derivatives times sqrt(8/pi)."""
-    if not 0 <= ell <= L_MAX:
-        raise ValueError(f"fourier_psi_tilde: ell = {ell} outside [0, {L_MAX}]")
+    ell = _check_int("fourier_psi_tilde", "ell", ell, 0, L_MAX)
+    _check_finite("fourier_psi_tilde", "w", w)
     return _SQRT_8_OVER_PI * _alt_sinc_sum(ell, w)
 
 
@@ -91,8 +101,8 @@ def exp_poly_self_convolution(ell, y):
     e^(-|y|)/(ell+1) { |y|^(ell+1) + sum_{j<ell} (ell+1)!/(ell-j)!
     |y|^(ell-j)/2^(1+j) + (ell+1)!/2^ell }, even and strictly positive.
     """
-    if not 0 <= ell <= 2 * L_MAX:
-        raise ValueError(f"exp_poly_self_convolution: ell = {ell} outside [0, {2 * L_MAX}]")
+    ell = _check_int("exp_poly_self_convolution", "ell", ell, 0, 2 * L_MAX)
+    _check_finite("exp_poly_self_convolution", "y", y)
     u = abs(y)
     fact = math.factorial(ell + 1)
     inner = u ** (ell + 1) + fact / 2.0**ell
@@ -123,10 +133,9 @@ def k_conv(ell, x, tol=1e-10):
     alternating sum, which dominates at high order (about 1.85e-11 at
     ell = 8).
     """
-    if not 0 <= ell <= L_MAX:
-        raise ValueError(f"k_conv: ell = {ell} outside [0, {L_MAX}]")
-    if not math.isfinite(x):
-        raise ValueError(f"k_conv: x = {x} must be finite")
+    ell = _check_int("k_conv", "ell", ell, 0, L_MAX)
+    _check_finite("k_conv", "x", x)
+    quadrature._check_tol("k_conv", tol)
     if ell == 0:
         return KernelEvaluation(
             x=x, value=2.0 / math.pi * sinc(x), route="convolution", error_estimate=0.0
@@ -223,12 +232,11 @@ def k_closed(ell, x):
     region is k_conv's job. At large x the polynomial terms grow like
     x^(ell-1) and cancel to a value of order 1/x. The error estimate is
     rounding noise scaled by the total absolute mass of the collapsed
-    sum, so it grows with that cancellation.
+    sum, so it grows with that cancellation. Where the sum or that mass
+    leaves the double range it raises OverflowError.
     """
-    if not 1 <= ell <= L_MAX:
-        raise ValueError(f"k_closed: ell = {ell} outside [1, {L_MAX}]")
-    if not math.isfinite(x):
-        raise ValueError(f"k_closed: x = {x} must be finite")
+    ell = _check_int("k_closed", "ell", ell, 1, L_MAX)
+    _check_finite("k_closed", "x", x)
     if x < X_MIN_CLOSED:
         raise ValueError(
             f"k_closed: x = {x} below X_MIN_CLOSED = {X_MIN_CLOSED}; use k_conv"
@@ -248,6 +256,8 @@ def k_closed(ell, x):
         term = coef * sinc_derivative(s, x)
         total += term
         abs_mass += abs(term)
+    if not (math.isfinite(total) and math.isfinite(abs_mass)):
+        raise OverflowError(f"k_closed: the sum at ell = {ell}, x = {x} overflows")
     return KernelEvaluation(
         x=x,
         value=total / math.pi,
@@ -258,10 +268,8 @@ def k_closed(ell, x):
 
 def k_asymptotic(ell, x):
     """Leading large-x shape (2/pi) sin(x - ell pi/2)/x."""
-    if not 0 <= ell <= L_MAX:
-        raise ValueError(f"k_asymptotic: ell = {ell} outside [0, {L_MAX}]")
-    if not math.isfinite(x):
-        raise ValueError(f"k_asymptotic: x = {x} must be finite")
+    ell = _check_int("k_asymptotic", "ell", ell, 0, L_MAX)
+    _check_finite("k_asymptotic", "x", x)
     if x == 0.0:
         raise ValueError("k_asymptotic: undefined at x = 0")
     return 2.0 / math.pi * math.sin(x - 0.5 * ell * math.pi) / x
@@ -273,10 +281,8 @@ def evaluate(ell, x, method="auto"):
     formula."""
     if method not in ("auto", "closed", "conv", "oracle"):
         raise ValueError(f"evaluate: unknown method {method!r}")
-    if not 0 <= ell <= L_MAX:
-        raise ValueError(f"evaluate: ell = {ell} outside [0, {L_MAX}]")
-    if not math.isfinite(x):
-        raise ValueError(f"evaluate: x = {x} must be finite")
+    ell = _check_int("evaluate", "ell", ell, 0, L_MAX)
+    _check_finite("evaluate", "x", x)
     if ell == 0 and method in ("auto", "closed"):
         return KernelEvaluation(
             x=x, value=2.0 / math.pi * sinc(x), route="closed", error_estimate=0.0
@@ -300,12 +306,10 @@ def lp_diagnostic(ell, p, big_x, tol=1e-5):
     seeds, about X/pi, is checked against the panel budget before any
     work is done.
     """
-    if not 1 <= ell <= L_MAX:
-        raise ValueError(f"lp_diagnostic: ell = {ell} outside [1, {L_MAX}]")
-    if not math.isfinite(p):
-        raise ValueError(f"lp_diagnostic: p = {p} must be finite")
-    if not math.isfinite(big_x):
-        raise ValueError(f"lp_diagnostic: X = {big_x} must be finite")
+    ell = _check_int("lp_diagnostic", "ell", ell, 1, L_MAX)
+    _check_finite("lp_diagnostic", "p", p)
+    _check_finite("lp_diagnostic", "X", big_x)
+    quadrature._check_tol("lp_diagnostic", tol)
     if p < 1.0:
         raise ValueError(f"lp_diagnostic: p = {p} must be >= 1")
     if big_x <= 0.0:

@@ -29,8 +29,8 @@ arrays, so two distinct records do not compare with ``==`` (the array
 comparison raises, as it does for bare arrays) and are unhashable.
 
 This is the one module of the package that imports NumPy. The block
-certificates, the size cap and the coefficients live in the NumPy-free
-``spectral`` and are re-exported here.
+certificates and the coefficients live in the NumPy-free ``spectral``
+and are re-exported here.
 """
 
 import math
@@ -39,13 +39,14 @@ from collections import namedtuple
 import numpy as np
 
 from ._jacobi_py import jacobi_eigenvalues
-from .spectral import (  # the certificate and the cap are re-exported
+from .specfun import L_MAX, _check_finite, _check_int
+from .spectral import MAX_TRUNCATION_SIZE as _MAX_SIZE
+from .spectral import (  # the certificate and the coefficients are re-exported
     BlockCertificate,
     block_certificate,
     block_parameters,
     fourier_coefficient,
     hilbert_type_values,
-    max_truncation_size,
     truncation_values,
 )
 
@@ -75,6 +76,8 @@ def hankel_truncation(ell, n):
     ``entries`` is a read-only Hankel window over the 2N - 1 coefficients
     c_{ell+1}, ..., c_{2N+ell-1}; copy it before writing to it.
     """
+    ell = _check_int("hankel_truncation", "ell", ell, 0, L_MAX)
+    n = _check_int("hankel_truncation", "n", n, 1, _MAX_SIZE)
     diagonal = np.array(truncation_values(ell, n))
     return HankelTruncation(ell=ell, size=n, entries=_hankel_window(diagonal, n))
 
@@ -86,6 +89,8 @@ def hilbert_type(p, n, alternating):
     ``entries`` is a read-only Hankel window over the 2N - 1 values
     1/(1 + s - p), s = 0 .. 2N - 2; copy it before writing to it.
     """
+    _check_finite("hilbert_type", "p", p)
+    n = _check_int("hilbert_type", "n", n, 1, _MAX_SIZE)
     diagonal = np.array(hilbert_type_values(p, n))
     if alternating:
         diagonal *= alternating_signs(2 * n - 1)
@@ -97,6 +102,7 @@ def hilbert_type(p, n, alternating):
 def alternating_signs(n):
     """The vector (+1, -1, +1, ...): conjugating by its diagonal flips the
     checkerboard sign pattern (exactly, in floating point)."""
+    n = _check_int("alternating_signs", "n", n, 0)
     signs = np.ones(n)
     signs[1::2] = -1.0
     return signs
@@ -159,6 +165,8 @@ def spectrum_report(ell, n):
     exactly symmetric (v[i] == -v[N-1-i]), and the full N x N solve for
     odd ell at odd N, where the off-diagonal block is not square.
     """
+    ell = _check_int("spectrum_report", "ell", ell, 0, L_MAX)
+    n = _check_int("spectrum_report", "n", n, 1, _MAX_SIZE)
     truncation = hankel_truncation(ell, n)
     eigenvalues = _truncation_eigenvalues(ell, truncation.entries)
     low = float(eigenvalues[0])

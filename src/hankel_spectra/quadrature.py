@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .specfun import L_MAX
+from .specfun import L_MAX, _check_finite, _check_int
 
 # Gauss-Kronrod 7-15 constants on [-1, 1], positive half (descending),
 # generated from the Stieltjes polynomial orthogonality conditions in
@@ -106,8 +106,7 @@ def _gk15_panel(f, a, b):
 
 
 def _check_tol(name, tol):
-    if not math.isfinite(tol):
-        raise ValueError(f"{name}: tol = {tol} must be finite")
+    _check_finite(name, "tol", tol)
     if tol <= 0.0:
         raise ValueError(f"{name}: tol = {tol} must be positive")
 
@@ -139,13 +138,15 @@ def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANE
     are only piecewise smooth converge at the full rate provided their
     kinks are declared. Raises QuadratureBudgetError (carrying the best
     estimate) once max_panels panels exist and the tolerance is still out
-    of reach.
+    of reach, and ArithmeticError when the integrand's values leave the
+    double range (a nan estimate would otherwise end the refinement).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integrate_adaptive: bounds [{a}, {b}] must be finite")
+    _check_finite("integrate_adaptive", "a", a)
+    _check_finite("integrate_adaptive", "b", b)
     if not a < b:
         raise ValueError(f"integrate_adaptive: bad interval [{a}, {b}]")
     _check_tol("integrate_adaptive", tol)
+    max_panels = _check_int("integrate_adaptive", "max_panels", max_panels, 1)
     points = [a, *sorted(p for p in set(breakpoints) if a < p < b), b]
     _check_seed_panels(len(points) - 1, max_panels)
     heap = []
@@ -174,7 +175,12 @@ def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANE
         heapq.heappush(heap, (-left_err, u, mid, left_value, left_err))
         heapq.heappush(heap, (-right_err, mid, v, right_value, right_err))
         total_err += left_err + right_err - err
-    return _combine([(u, v, value, err) for _, u, v, value, err in heap])
+    result = _combine([(u, v, value, err) for _, u, v, value, err in heap])
+    if not (cmath.isfinite(result.value) and math.isfinite(result.abs_error_estimate)):
+        raise ArithmeticError(
+            f"integrate_adaptive: the integrand is not finite on [{a}, {b}]"
+        )
+    return result
 
 
 def improper_damped(f, tol, breakpoints=(), degree=L_MAX):
@@ -185,8 +191,7 @@ def improper_damped(f, tol, breakpoints=(), degree=L_MAX):
     always split at 0 and at any declared kinks.
     """
     _check_tol("improper_damped", tol)
-    if not 0 <= degree <= 2 * L_MAX:
-        raise ValueError(f"improper_damped: degree = {degree} outside [0, {2 * L_MAX}]")
+    degree = _check_int("improper_damped", "degree", degree, 0, 2 * L_MAX)
     cut = 40.0 + degree * math.log(1.0 + degree)
     while math.exp(-cut) * (1.0 + cut) ** degree > 0.1 * tol:
         cut *= 1.25
@@ -204,10 +209,8 @@ def fourier_symbol_oracle(ell, x, tol=1e-13):
     imaginary residue (zero in exact arithmetic because the symbol has
     conjugate symmetry) is checked against 1e-12 before being discarded.
     """
-    if not 0 <= ell <= L_MAX:
-        raise ValueError(f"fourier_symbol_oracle: ell = {ell} outside [0, {L_MAX}]")
-    if not math.isfinite(x):
-        raise ValueError(f"fourier_symbol_oracle: x = {x} must be finite")
+    ell = _check_int("fourier_symbol_oracle", "ell", ell, 0, L_MAX)
+    _check_finite("fourier_symbol_oracle", "x", x)
     _check_tol("fourier_symbol_oracle", tol)
 
     def g(t):
@@ -266,10 +269,9 @@ def _xi_pow_reference(ell, w, tol=1e-11):
     case instead maps the tail to [0, 1/T] by inversion. Every integrand
     is even in t, so each is integrated over [0, T] only and doubled.
     """
-    if not 1 <= ell <= L_MAX:
-        raise ValueError(f"_xi_pow_reference: ell = {ell} outside [1, {L_MAX}]")
-    if not math.isfinite(w):
-        raise ValueError(f"_xi_pow_reference: w = {w} must be finite")
+    ell = _check_int("_xi_pow_reference", "ell", ell, 1, L_MAX)
+    _check_finite("_xi_pow_reference", "w", w)
+    _check_tol("_xi_pow_reference", tol)
     norm = 1.0 / math.sqrt(2.0 * math.pi)
     u = abs(w)
     if u == 0.0:
@@ -321,10 +323,9 @@ def _poly_symbol_reference(ell, w, tol=1e-12):
     """Quadrature route for the transform of the degree-2 ell polynomial
     symbol factor 2 (1+it)^(2 ell) on [-1, 1], independent of the
     sinc-derivative closed form."""
-    if not 0 <= ell <= L_MAX:
-        raise ValueError(f"_poly_symbol_reference: ell = {ell} outside [0, {L_MAX}]")
-    if not math.isfinite(w):
-        raise ValueError(f"_poly_symbol_reference: w = {w} must be finite")
+    ell = _check_int("_poly_symbol_reference", "ell", ell, 0, L_MAX)
+    _check_finite("_poly_symbol_reference", "w", w)
+    _check_tol("_poly_symbol_reference", tol)
 
     def integrand(t):
         return 2.0 * complex(1.0, t) ** (2 * ell) * cmath.exp(complex(0.0, -t * w))

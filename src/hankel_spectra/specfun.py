@@ -8,6 +8,7 @@ two families of damped integrals with elementary closed forms.
 
 import cmath
 import math
+import operator
 
 L_MAX = 8
 
@@ -31,13 +32,40 @@ _SERIES_MAX_ITER = 2000
 _SINC_SERIES_LIMIT = 10.0
 
 
+def _check_int(name, label, value, low, high=None):
+    """value as an int in [low, high] (no upper end when high is None).
+
+    Accepts what ``operator.index`` accepts, so Python and NumPy integers
+    pass and floats (2.0 too) and strings do not.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: {label} = {value!r} must be an integer") from None
+    if number < low or (high is not None and number > high):
+        bound = f"must be >= {low}" if high is None else f"outside [{low}, {high}]"
+        raise ValueError(f"{name}: {label} = {number} {bound}")
+    return number
+
+
+def _check_finite(name, label, value):
+    """value must be a finite real or complex number."""
+    try:
+        finite = cmath.isfinite(value)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name}: {label} = {value!r} must be finite")
+
+
+def _sinc(x):
+    return 1.0 if x == 0.0 else math.sin(x) / x
+
+
 def sinc(x):
     """sin(x)/x with the removable singularity filled in."""
-    if not math.isfinite(x):
-        raise ValueError(f"sinc: x = {x} must be finite")
-    if x == 0.0:
-        return 1.0
-    return math.sin(x) / x
+    _check_finite("sinc", "x", x)
+    return _sinc(x)
 
 
 def _sinc_derivative_series(n, x):
@@ -69,23 +97,25 @@ def _sinc_derivative_leibniz(n, x):
     return total
 
 
+def _sinc_derivative(n, x):
+    # the branch selector behind sinc_derivative, for loops whose caller
+    # has checked n and x
+    if n == 0:
+        return _sinc(x)
+    if abs(x) < _SINC_SERIES_LIMIT:
+        return _sinc_derivative_series(n, x)
+    return _sinc_derivative_leibniz(n, x)
+
+
 def sinc_derivative(n, x):
     """n-th derivative of sinc at x, for 0 <= n <= 2*L_MAX + 4.
 
     Taylor series near the origin, Leibniz closed form away from it; the
     crossover at |x| = 10 keeps both branches near machine accuracy.
     """
-    if not 0 <= n <= SINC_ORDER_MAX:
-        raise ValueError(
-            f"sinc_derivative: order {n} outside [0, {SINC_ORDER_MAX}]"
-        )
-    if not math.isfinite(x):
-        raise ValueError(f"sinc_derivative: x = {x} must be finite")
-    if n == 0:
-        return sinc(x)
-    if abs(x) < _SINC_SERIES_LIMIT:
-        return _sinc_derivative_series(n, x)
-    return _sinc_derivative_leibniz(n, x)
+    n = _check_int("sinc_derivative", "n", n, 0, SINC_ORDER_MAX)
+    _check_finite("sinc_derivative", "x", x)
+    return _sinc_derivative(n, x)
 
 
 def _on_cut(z):
@@ -148,9 +178,8 @@ def _e1_cf_scaled(z):
 
 def ein(z):
     """Entire complementary exponential integral Ein(z)."""
+    _check_finite("ein", "z", z)
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"ein: z = {z!r} must be finite")
     if _use_series(z):
         return _ein_series(z)
     # Off the cut and away from the origin: recover Ein from the scaled
@@ -160,9 +189,8 @@ def ein(z):
 
 def e1(z):
     """Principal-branch exponential integral E1(z), z not on (-inf, 0]."""
+    _check_finite("e1", "z", z)
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"e1: z = {z!r} must be finite")
     if _on_cut(z):
         raise ValueError(f"e1: {z!r} lies on the branch cut (-inf, 0]")
     if _use_series(z):
@@ -172,9 +200,8 @@ def e1(z):
 
 def e1_scaled(z):
     """exp(z) * E1(z) without forming exp(z), z not on (-inf, 0]."""
+    _check_finite("e1_scaled", "z", z)
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"e1_scaled: z = {z!r} must be finite")
     if _on_cut(z):
         raise ValueError(f"e1_scaled: {z!r} lies on the branch cut (-inf, 0]")
     if _use_series(z):
@@ -210,8 +237,8 @@ def _log_gamma_re(w):
 
 
 def _check_gamma_args(name, p, y):
-    if not (math.isfinite(p) and math.isfinite(y)):
-        raise ValueError(f"{name}: p = {p}, y = {y} must be finite")
+    _check_finite(name, "p", p)
+    _check_finite(name, "y", y)
     if p > 0.5:
         raise ValueError(f"{name}: p = {p} exceeds 1/2")
     if y <= 0.0:
@@ -257,11 +284,10 @@ def damped_moment_shifted(n, a, x):
     a^(-r) x^(n-r); the exponentially growing factor is absorbed into
     e1_scaled. Requires Re a > 0 and x > 0.
     """
-    if n < 0:
-        raise ValueError(f"damped_moment_shifted: n = {n} must be >= 0")
+    n = _check_int("damped_moment_shifted", "n", n, 0)
+    _check_finite("damped_moment_shifted", "a", a)
+    _check_finite("damped_moment_shifted", "x", x)
     a = complex(a)
-    if not (cmath.isfinite(a) and math.isfinite(x)):
-        raise ValueError(f"damped_moment_shifted: a = {a!r}, x = {x} must be finite")
     if a.real <= 0.0:
         raise ValueError(f"damped_moment_shifted: Re a = {a.real} must be > 0")
     if x <= 0.0:
@@ -296,10 +322,8 @@ def damped_trig_moment(m, x, kind):
     rational arithmetic (the sqrt(2) factors cancel case by case), so the
     only rounding is the final trig evaluation.
     """
-    if not 0 <= m <= 2 * L_MAX:
-        raise ValueError(f"damped_trig_moment: m = {m} outside [0, {2 * L_MAX}]")
-    if not math.isfinite(x):
-        raise ValueError(f"damped_trig_moment: x = {x} must be finite")
+    m = _check_int("damped_trig_moment", "m", m, 0, 2 * L_MAX)
+    _check_finite("damped_trig_moment", "x", x)
     if kind == "sin":
         t = math.sin(x)
     elif kind == "cos":

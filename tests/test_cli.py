@@ -148,18 +148,18 @@ def test_out_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
     assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
-def test_spectrum_rejects_oversized_request(capsys, monkeypatch):
-    monkeypatch.setenv("HANKEL_SPECTRA_MAX_N", "16")
-    code, _ = run_cli(capsys, "spectrum", "--ell", "0", "--size", "32")
+def test_spectrum_rejects_oversized_request(capsys):
+    # the cap is 4096; the request fails before any matrix is built
+    code, out = run_cli(capsys, "spectrum", "--ell", "0", "--size", "4097")
     assert code == 2
+    assert out == ""
 
 
-def test_blocks_applies_the_size_cap_to_twice_the_size(capsys, monkeypatch):
-    # the certificate reads the size-2N truncation
-    monkeypatch.setenv("HANKEL_SPECTRA_MAX_N", "16")
-    code, _ = run_cli(capsys, "blocks", "--ell", "2", "--size", "8")
+def test_blocks_applies_the_size_cap_to_twice_the_size(capsys):
+    # the certificate reads the size-2N truncation, so blocks stops at 2048
+    code, _ = run_cli(capsys, "blocks", "--ell", "2", "--size", "2048")
     assert code == 0
-    code, out = run_cli(capsys, "blocks", "--ell", "2", "--size", "9")
+    code, out = run_cli(capsys, "blocks", "--ell", "2", "--size", "2049")
     assert code == 2
     assert out == ""
 
@@ -286,6 +286,15 @@ def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
     monkeypatch.setattr("hankel_spectra.kernels.evaluate", explode)
     code, _ = run_cli(capsys, "kernel", "--ell", "1", "--x", "1.0")
     assert code == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("ell, x", [("8", "1e100"), ("4", "1e155")])
+def test_kernel_overflow_is_a_numerical_failure(capsys, ell, x, fmt):
+    # CSV printed -inf or an inf estimate with exit 0, JSON exited 2
+    code, out = run_cli(capsys, "kernel", "--ell", ell, "--x", x, "--format", fmt)
+    assert code == 3
+    assert out == ""
 
 
 def test_output_is_byte_deterministic(capsys):

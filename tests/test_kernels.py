@@ -314,6 +314,9 @@ def test_evaluate_validation():
         lambda x: damped_moment_shifted(2, x, 1.0),
         lambda x: damped_moment_shifted(2, 1.0, x),
         lambda x: damped_trig_moment(2, x, "sin"),
+        lambda x: fourier_xi_pow(2, x),
+        lambda x: exp_poly_self_convolution(2, x),
+        lambda x: symbol_psi_ell(2, x),
     ],
     ids=[
         "evaluate-sinc",
@@ -334,11 +337,23 @@ def test_evaluate_validation():
         "damped_moment_shifted-a",
         "damped_moment_shifted-x",
         "damped_trig_moment",
+        "fourier_xi_pow",
+        "exp_poly_self_convolution",
+        "symbol_psi_ell",
     ],
 )
 def test_non_finite_x_is_rejected(route, bad):
     with pytest.raises(ValueError, match="must be finite"):
         route(bad)
+
+
+@pytest.mark.parametrize("ell, x", [(8, 1e100), (4, 1e155)])
+def test_closed_sum_past_the_double_range_is_a_numerical_failure(ell, x):
+    # the x^(ell-1) terms overflow; the sum read -inf or its estimate inf
+    with pytest.raises(OverflowError, match="^k_closed: "):
+        k_closed(ell, x)
+    with pytest.raises(OverflowError):
+        evaluate(ell, x)
 
 
 def test_lp_diagnostic_basic():

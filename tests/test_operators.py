@@ -56,16 +56,24 @@ def test_hilbert_type_rejects_large_p():
         op.hilbert_type(0.75, 3, False)
 
 
-def test_truncation_size_cap(monkeypatch):
-    monkeypatch.setenv("HANKEL_SPECTRA_MAX_N", "64")
-    assert op.max_truncation_size() == 64
-    with pytest.raises(ValueError):
-        op.hankel_truncation(0, 128)
-    monkeypatch.setenv("HANKEL_SPECTRA_MAX_N", "not a number")
-    with pytest.raises(ValueError):
-        op.max_truncation_size()
-    monkeypatch.delenv("HANKEL_SPECTRA_MAX_N")
-    assert op.max_truncation_size() == 4096
+def test_truncation_size_cap():
+    cap = spectral.MAX_TRUNCATION_SIZE
+    assert cap == 4096
+    assert not hasattr(op, "MAX_TRUNCATION_SIZE")
+    assert len(spectral.truncation_values(0, cap)) == 2 * cap - 1
+    for build in (
+        lambda n: op.hankel_truncation(0, n),
+        lambda n: op.hilbert_type(0.5, n, False),
+        lambda n: op.spectrum_report(0, n),
+        lambda n: spectral.truncation_values(0, n),
+        lambda n: spectral.hilbert_type_values(0.5, n),
+    ):
+        with pytest.raises(ValueError, match=f"n = {cap + 1} outside"):
+            build(cap + 1)
+    # the certificate reads the size-2N truncation
+    op.block_certificate(2, cap // 2)
+    with pytest.raises(ValueError, match=f"n = {cap // 2 + 1} outside"):
+        op.block_certificate(2, cap // 2 + 1)
 
 
 def test_block_parameters_frozen():

@@ -1,9 +1,12 @@
+import ast
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hankel_spectra
-from hankel_spectra import operators
+from hankel_spectra import combinatorics, kernels, operators, quadrature, spectral, specfun
 
 
 def test_every_exported_name_resolves():
@@ -49,3 +52,81 @@ def test_package_is_pure_python():
     with pyproject.open("rb") as handle:
         requires = tomllib.load(handle)["build-system"]["requires"]
     assert [r for r in requires if not r.startswith("setuptools")] == []
+
+
+def test_no_module_reads_the_environment():
+    names = {"environ", "environb", "getenv", "getenvb"}
+    sources = sorted(Path(hankel_spectra.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))
+        } | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not read & names, (path.name, read & names)
+
+
+# Every public function with an integer argument, called with that
+# argument k and valid values elsewhere; the last entry is a valid k.
+_INTEGER_ARGUMENTS = [
+    ("evaluate", lambda k: kernels.evaluate(k, 1.0), 2),
+    ("evaluate", lambda k: kernels.evaluate(k, 0.05, method="conv"), 1),
+    ("evaluate", lambda k: kernels.evaluate(k, 1.0, method="oracle"), 1),
+    ("k_closed", lambda k: kernels.k_closed(k, 1.0), 2),
+    ("k_conv", lambda k: kernels.k_conv(k, 0.5), 1),
+    ("k_asymptotic", lambda k: kernels.k_asymptotic(k, 3.0), 2),
+    ("symbol_psi_ell", lambda k: kernels.symbol_psi_ell(k, 0.3), 2),
+    ("fourier_xi_pow", lambda k: kernels.fourier_xi_pow(k, 1.0), 2),
+    ("fourier_psi_tilde", lambda k: kernels.fourier_psi_tilde(k, 1.0), 2),
+    ("exp_poly_self_convolution", lambda k: kernels.exp_poly_self_convolution(k, 1.0), 2),
+    ("lp_diagnostic", lambda k: kernels.lp_diagnostic(k, 1.0, 0.01), 1),
+    ("fourier_symbol_oracle", lambda k: quadrature.fourier_symbol_oracle(k, 1.0), 2),
+    ("_xi_pow_reference", lambda k: quadrature._xi_pow_reference(k, 1.0), 2),
+    ("_poly_symbol_reference", lambda k: quadrature._poly_symbol_reference(k, 1.0), 2),
+    ("improper_damped", lambda k: quadrature.improper_damped(
+        lambda y: math.exp(-abs(y)), 1e-8, degree=k), 2),
+    ("integrate_adaptive", lambda k: quadrature.integrate_adaptive(
+        math.exp, 0.0, 1.0, 1e-10, max_panels=k), 20),
+    ("p_poly", lambda k: combinatorics.p_poly(k), 2),
+    ("sum_identity", lambda k: combinatorics.sum_identity(k, 3), 2),
+    ("sum_identity", lambda k: combinatorics.sum_identity(1, k), 3),
+    ("alternating_factorial_identity",
+     lambda k: combinatorics.alternating_factorial_identity(k, 2), 4),
+    ("alternating_factorial_identity",
+     lambda k: combinatorics.alternating_factorial_identity(4, k), 2),
+    ("sinc_derivative", lambda k: specfun.sinc_derivative(k, 1.0), 2),
+    ("damped_moment_shifted", lambda k: specfun.damped_moment_shifted(k, 1.0, 2.0), 2),
+    ("damped_trig_moment", lambda k: specfun.damped_trig_moment(k, 1.0, "sin"), 2),
+    ("fourier_coefficient", lambda k: spectral.fourier_coefficient(k), 3),
+    ("truncation_values", lambda k: spectral.truncation_values(k, 3), 2),
+    ("truncation_values", lambda k: spectral.truncation_values(2, k), 3),
+    ("hilbert_type_values", lambda k: spectral.hilbert_type_values(0.5, k), 3),
+    ("block_parameters", lambda k: spectral.block_parameters(k), 2),
+    ("block_certificate", lambda k: spectral.block_certificate(k, 4), 3),
+    ("block_certificate", lambda k: spectral.block_certificate(3, k), 4),
+    ("hankel_truncation", lambda k: operators.hankel_truncation(k, 3), 2),
+    ("hankel_truncation", lambda k: operators.hankel_truncation(2, k), 3),
+    ("hilbert_type", lambda k: operators.hilbert_type(-0.5, k, True), 3),
+    ("alternating_signs", lambda k: operators.alternating_signs(k), 3),
+    ("spectrum_report", lambda k: operators.spectrum_report(k, 4), 1),
+    ("spectrum_report", lambda k: operators.spectrum_report(1, k), 4),
+]
+_INTEGER_IDS = [f"{name}-{i}" for i, (name, _, _) in enumerate(_INTEGER_ARGUMENTS)]
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2"], ids=["1.5", "2.0", "str"])
+@pytest.mark.parametrize("name, call, valid", _INTEGER_ARGUMENTS, ids=_INTEGER_IDS)
+def test_integer_arguments_reject_non_integers(name, call, valid, bad):
+    with pytest.raises(ValueError, match=f"^{name}: .* must be an integer$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call, valid", _INTEGER_ARGUMENTS, ids=_INTEGER_IDS)
+def test_integer_arguments_accept_numpy_integers(name, call, valid):
+    # the record of a NumPy integer reads like that of the plain int
+    assert repr(call(np.int64(valid))) == repr(call(valid))

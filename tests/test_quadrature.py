@@ -294,6 +294,17 @@ def test_panel_budget_is_checked_before_the_seeds_are_built(call):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "f",
+    [lambda t: math.nan, lambda t: math.inf, lambda t: math.nan if t > 0.9 else 1.0],
+    ids=["nan", "inf", "nan-on-one-panel"],
+)
+def test_non_finite_integrand_is_a_numerical_failure(f):
+    # a nan error estimate would end the refinement and return nan
+    with pytest.raises(ArithmeticError, match="^integrate_adaptive: "):
+        integrate_adaptive(f, 0.0, 1.0, 1e-10)
+
+
 def test_quadrature_result_is_an_immutable_named_tuple():
     record = integrate_adaptive(math.exp, 0.0, 1.0, 1e-12)
     assert QuadratureResult._fields == ("value", "abs_error_estimate", "evaluations")

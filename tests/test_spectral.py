@@ -1,19 +1,14 @@
 import math
 import pickle
 import sys
-from functools import partial
 
 import pytest
 
-from hankel_spectra import operators as op
 from hankel_spectra.spectral import (
     BlockCertificate,
-    DiagonalBlock,
-    DiagonalizationDescriptor,
     SpectralDensityPoint,
     block_certificate,
     density_rho,
-    diagonalization_of,
     multiplier_h,
 )
 
@@ -84,9 +79,6 @@ def test_density_rho_is_none_past_the_sinh_overflow():
         assert point.rho is None
         assert math.isfinite(point.log_rho)
         assert point.log_rho > 709.0
-    # the descriptor's density keeps raising there
-    with pytest.raises(OverflowError):
-        diagonalization_of(2).blocks[0].density(1e5)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.0, -0.5, -1.5, -3.5])
@@ -128,59 +120,16 @@ def test_density_validation():
         multiplier_h,
         lambda v: density_rho(0.0, v),
         lambda v: density_rho(v, 1.0),
-        lambda v: diagonalization_of(3).blocks[0].density(v),
     ],
-    ids=["multiplier_h", "density-lambda", "density-p", "descriptor-density"],
+    ids=["multiplier_h", "density-lambda", "density-p"],
 )
 def test_non_finite_arguments_are_rejected(call, bad):
     with pytest.raises(ValueError, match="must be finite"):
         call(bad)
 
 
-def test_diagonalization_descriptor_examples():
-    d0 = diagonalization_of(0)
-    assert isinstance(d0, DiagonalizationDescriptor)
-    assert [(b.sign, b.p) for b in d0.blocks] == [(1.0, 0.5), (-1.0, -0.5)]
-    d1 = diagonalization_of(1)
-    assert [(b.sign, b.p) for b in d1.blocks] == [(-1.0, -0.5), (1.0, -0.5)]
-    d4 = diagonalization_of(4)
-    assert [(b.sign, b.p) for b in d4.blocks] == [(1.0, -1.5), (-1.0, -2.5)]
-    for block in d4.blocks:
-        assert block.scale == pytest.approx(1.0 / math.pi, rel=1e-15)
-
-
-def test_diagonalization_matches_operator_block_parameters():
-    for ell in range(0, 9):
-        descriptor = diagonalization_of(ell)
-        assert tuple((b.sign, b.p) for b in descriptor.blocks) == op.block_parameters(ell)
-
-
-def test_diagonalization_block_densities_delegate():
-    descriptor = diagonalization_of(3)
-    for block in descriptor.blocks:
-        assert block.density(2.0) == pytest.approx(density_rho(block.p, 2.0).rho, rel=1e-15)
-
-
-def test_diagonalization_validation():
-    with pytest.raises(ValueError):
-        diagonalization_of(9)
-    with pytest.raises(ValueError):
-        diagonalization_of(-1)
-
-
-def _by_value(value):
-    # a functools.partial compares by identity; compare what it calls
-    if isinstance(value, partial):
-        return value.func, value.args, value.keywords
-    if isinstance(value, tuple):
-        return type(value), tuple(_by_value(item) for item in value)
-    return value
-
-
 _RECORDS = [
     (SpectralDensityPoint, ("p", "lam", "rho", "log_rho"), lambda: density_rho(-0.5, 2.0)),
-    (DiagonalBlock, ("sign", "scale", "p", "density"), lambda: diagonalization_of(3).blocks[0]),
-    (DiagonalizationDescriptor, ("ell", "blocks"), lambda: diagonalization_of(3)),
     (
         BlockCertificate,
         ("parity", "m", "size", "max_abs_deviation", "cross_block_max"),
@@ -200,4 +149,5 @@ def test_records_are_immutable_named_tuples(kind, fields, build):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     restored = pickle.loads(pickle.dumps(record))
-    assert _by_value(restored) == _by_value(record)
+    assert type(restored) is kind
+    assert restored == record
