@@ -23,8 +23,7 @@ from .specfun import L_MAX, _check_finite, _check_int
 
 # Gauss-Kronrod 7-15 constants on [-1, 1], positive half (descending),
 # generated from the Stieltjes polynomial orthogonality conditions in
-# 60-digit arithmetic and written to 17 significant digits; each is the
-# nearest double except _WGK[2], one unit in the last place below it.
+# 60-digit arithmetic and written as the nearest double to each.
 # tests/test_quadrature.py regenerates them.
 _XGK = (
     0.99145537112081264,
@@ -39,7 +38,7 @@ _XGK = (
 _WGK = (
     0.022935322010529225,
     0.063092092629978553,
-    0.10479001032225018,
+    0.10479001032225019,
     0.14065325971552592,
     0.1690047266392679,
     0.19035057806478541,

@@ -63,20 +63,12 @@ def _gk15_at_60_digits():
 
 
 @pytest.mark.parametrize(
-    "index, constants, nearest_misses",
-    [(0, _XGK, []), (1, _WGK, [2]), (2, _WG, [])],
-    ids=["xgk", "wgk", "wg"],
+    "index, constants", [(0, _XGK), (1, _WGK), (2, _WG)], ids=["xgk", "wgk", "wg"]
 )
-def test_gk15_constants_match_a_60_digit_regeneration(index, constants, nearest_misses):
+def test_gk15_constants_match_a_60_digit_regeneration(index, constants):
     values = _gk15_at_60_digits()[index]
-    # The constants are the 60-digit values written to 17 significant digits.
-    assert constants == tuple(float(mp.nstr(v, 17)) for v in values)
-    # That is the nearest double everywhere but _WGK[2], whose 17-digit form
-    # parses one unit in the last place below it.
-    misses = [i for i, (c, v) in enumerate(zip(constants, values)) if c != float(v)]
-    assert misses == nearest_misses
-    for i in misses:
-        assert constants[i] == math.nextafter(float(values[i]), 0.0)
+    # every constant is the double nearest to its 60-digit value
+    assert constants == tuple(float(v) for v in values)
 
 
 @pytest.mark.parametrize("degree", range(0, 23))
