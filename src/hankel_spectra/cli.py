@@ -12,8 +12,9 @@ package modules it uses when it runs:
 - ``density``, ``blocks`` and ``verify --suite spectral|operators``:
   ``spectral`` and ``specfun``;
 - ``verify --suite identities``: ``combinatorics`` and ``specfun``;
-- ``spectrum``: ``operators``, which loads ``spectral``, ``specfun`` and
-  NumPy. It is the only command that loads NumPy.
+- ``spectrum``: ``operators``, which loads ``spectral`` and ``specfun``.
+
+No command loads NumPy.
 
 ``tempfile`` is imported only to write an --out file.
 
@@ -158,7 +159,7 @@ def cmd_spectrum(args):
         "containment_violation": report.containment_violation,
         "coverage_gap": report.coverage_gap,
     }
-    eigenvalues = [float(v) for v in report.eigenvalues]
+    eigenvalues = report.eigenvalues.tolist()
     rows = [{"index": i, "eigenvalue": v} for i, v in enumerate(eigenvalues)]
     text = _render(args.format, dict(summary, eigenvalues=eigenvalues), rows)
     if args.out:
@@ -317,8 +318,8 @@ def _suite_operators(tol):
     return [
         _check(
             "block-certificates",
-            "parity blocks of every order's truncation match the descriptor's "
-            "(sign/pi) Hilbert-type blocks",
+            "parity blocks of every order's truncation match the (sign/pi) "
+            "Hilbert-type blocks of block_parameters",
             worst_cert,
             tol,
         ),

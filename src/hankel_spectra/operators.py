@@ -3,8 +3,10 @@
 The matrix model lives on sequence space: entry (n, k) of the order-l
 truncation is the Fourier coefficient c_{k+n+l+1}, so its block algebra
 is a finite algebraic fact and the certificates (``spectral``) measure
-pure floating-point noise, not discretization error. The eigensolver is
-a hand-rolled cyclic Jacobi in Python over NumPy rows (``_jacobi_py``).
+pure floating-point noise, not discretization error. The eigensolver,
+``symm_eigen``, is Householder tridiagonalization followed by implicit
+QL (EISPACK ``tred1`` and ``imtql1``; Golub & Van Loan, *Matrix
+Computations*, 8.3) in plain Python on lists of rows.
 
 ``spectrum_report`` solves the parity blocks that the certificates prove,
 not the whole truncation. Entry (row, col) vanishes unless row + col + l
@@ -19,26 +21,34 @@ small ones, so that case keeps the full-matrix solve.
 
 Every matrix built here depends only on row + col, so it is stored as its
 2N - 1 anti-diagonal values, the lists ``spectral.truncation_values`` and
-``spectral.hilbert_type_values`` give: ``entries`` of a truncation or
-Hilbert-type matrix is a read-only (N, N) Hankel window over them
-(``sliding_window_view``), and entries[i, j] is value i + j. It reads
-like any array; a caller who wants to write to it copies it first.
+``spectral.hilbert_type_values`` give. ``spectrum_report`` builds its
+blocks as lists of rows straight from them (the (even, even) block is the
+Hankel matrix of values[0::2], U that of values[1::2]). ``entries`` of a
+truncation or Hilbert-type matrix is a read-only (N, N) NumPy Hankel
+window over them (``sliding_window_view``), and entries[i, j] is value
+i + j. It reads like any array; a caller who wants to write to it copies
+it first.
 
-The three records are ``collections.namedtuple`` types. They hold NumPy
-arrays, so two distinct records do not compare with ``==`` (the array
-comparison raises, as it does for bare arrays) and are unhashable.
+The three records are ``collections.namedtuple`` types.
+``HankelTruncation`` and ``HilbertTypeMatrix`` hold NumPy arrays, so two
+distinct ones do not compare with ``==`` (the array comparison raises,
+as it does for bare arrays). ``SpectrumReport`` holds its eigenvalues as
+an ``array.array("d")``, 8 bytes a value like a NumPy array, so it
+compares by value. All three are unhashable.
 
-This is the one module of the package that imports NumPy. The block
-certificates and the coefficients live in the NumPy-free ``spectral``
-and are re-exported here.
+NumPy is imported only inside the three functions that return NumPy
+arrays: ``hankel_truncation``, ``hilbert_type`` and
+``alternating_signs``. Importing this module, ``symm_eigen`` and
+``spectrum_report`` load none of it. The block certificates and the
+coefficients live in ``spectral`` and are re-exported here.
 """
 
 import math
+from array import array
 from collections import namedtuple
+from itertools import chain, zip_longest
+from operator import mul, sub
 
-import numpy as np
-
-from ._jacobi_py import jacobi_eigenvalues
 from .specfun import L_MAX, _check_finite, _check_int
 from .spectral import MAX_TRUNCATION_SIZE as _MAX_SIZE
 from .spectral import (  # the certificate and the coefficients are re-exported
@@ -50,7 +60,8 @@ from .spectral import (  # the certificate and the coefficients are re-exported
     truncation_values,
 )
 
-_JACOBI_MAX_SWEEPS = 50
+# QL iterations allowed per eigenvalue, as in EISPACK
+_QL_MAX_ITERATIONS = 30
 
 
 # ell and size ints, entries the read-only (size, size) Hankel window
@@ -59,15 +70,17 @@ HankelTruncation = namedtuple("HankelTruncation", "ell size entries")
 # p a float, size an int, alternating a bool, entries as above
 HilbertTypeMatrix = namedtuple("HilbertTypeMatrix", "p size alternating entries")
 
-# eigenvalues an ascending NumPy array, the other four floats
+# eigenvalues an ascending array("d"), the other four floats
 SpectrumReport = namedtuple(
     "SpectrumReport", "eigenvalues min max containment_violation coverage_gap"
 )
 
 
-def _hankel_window(diagonal, n):
-    """The read-only (n, n) view with entry (row, col) = diagonal[row + col]."""
-    return np.lib.stride_tricks.sliding_window_view(diagonal, n)
+def _hankel_window(values, n):
+    """The read-only (n, n) NumPy view with entry (row, col) = values[row + col]."""
+    import numpy as np
+
+    return np.lib.stride_tricks.sliding_window_view(np.array(values), n)
 
 
 def hankel_truncation(ell, n):
@@ -78,8 +91,9 @@ def hankel_truncation(ell, n):
     """
     ell = _check_int("hankel_truncation", "ell", ell, 0, L_MAX)
     n = _check_int("hankel_truncation", "n", n, 1, _MAX_SIZE)
-    diagonal = np.array(truncation_values(ell, n))
-    return HankelTruncation(ell=ell, size=n, entries=_hankel_window(diagonal, n))
+    return HankelTruncation(
+        ell=ell, size=n, entries=_hankel_window(truncation_values(ell, n), n)
+    )
 
 
 def hilbert_type(p, n, alternating):
@@ -91,67 +105,180 @@ def hilbert_type(p, n, alternating):
     """
     _check_finite("hilbert_type", "p", p)
     n = _check_int("hilbert_type", "n", n, 1, _MAX_SIZE)
-    diagonal = np.array(hilbert_type_values(p, n))
+    values = hilbert_type_values(p, n)
     if alternating:
-        diagonal *= alternating_signs(2 * n - 1)
+        values = [-v if s % 2 else v for s, v in enumerate(values)]
     return HilbertTypeMatrix(
-        p=p, size=n, alternating=bool(alternating), entries=_hankel_window(diagonal, n)
+        p=p, size=n, alternating=bool(alternating), entries=_hankel_window(values, n)
     )
 
 
 def alternating_signs(n):
     """The vector (+1, -1, +1, ...): conjugating by its diagonal flips the
     checkerboard sign pattern (exactly, in floating point)."""
+    import numpy as np
+
     n = _check_int("alternating_signs", "n", n, 0)
     signs = np.ones(n)
     signs[1::2] = -1.0
     return signs
 
 
-def symm_eigen(matrix):
-    """All eigenvalues of a symmetric matrix, ascending.
+def _tridiagonalize(low):
+    """Householder reduction (EISPACK tred1) of a symmetric matrix given
+    by its lower triangle, row j holding entries 0..j; ``low`` is
+    overwritten. Returns the diagonal d and the off-diagonal e, e[i]
+    coupling i - 1 and i (e[0] = 0).
 
-    Cyclic Jacobi with a fixed sweep order, stopped once the off-diagonal
-    norm is at most 1e-14 times the Frobenius norm; there is no accuracy
-    argument. The matrix must be square, finite and symmetric to 1e-12
-    relative to its largest entry.
+    Step i reflects row i's entries left of the diagonal onto the last of
+    them, then applies A -= u q^T + q u^T to the leading i x i block. The
+    product p = A u needs all of row j of that block: entries 0..j are
+    stored in row j, the rest down column j, which one transpose of the
+    stored triangle gives.
     """
-    a = np.array(matrix, dtype=float, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"symm_eigen: expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    n = len(low)
+    d = [0.0] * n
+    e = [0.0] * n
+    for i in range(n - 1, 0, -1):
+        row = low[i]
+        d[i] = row[i]
+        x = row[:i]
+        scale = sum(map(abs, x))
+        if scale == 0.0:
+            continue
+        u = [v / scale for v in x]
+        h = sum(map(mul, u, u))
+        f = u[-1]
+        g = -math.copysign(math.sqrt(h), f)
+        e[i] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        block = low[:i]
+        columns = zip_longest(*block, fillvalue=0.0)
+        p = [
+            (sum(map(mul, r, u)) + sum(map(mul, c[j + 1 :], u[j + 1 :]))) / h
+            for j, (r, c) in enumerate(zip(block, columns))
+        ]
+        k = sum(map(mul, u, p)) / (h + h)
+        q = [pj - k * uj for pj, uj in zip(p, u)]
+        for j in range(i):
+            uj = u[j]
+            qj = q[j]
+            low[j] = [v - uj * qk - qj * uk for v, qk, uk in zip(low[j], q, u)]
+    d[0] = low[0][0]
+    return d, e
+
+
+def _tridiagonal_eigenvalues(d, e):
+    """Eigenvalues, unsorted, of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e (e[i] couples i - 1 and i): implicit QL
+    with Wilkinson shifts (EISPACK imtql1). ``d`` is overwritten and
+    returned."""
+    n = len(d)
+    e = e[1:] + [0.0]  # now e[i] couples i and i + 1
+    for start in range(n):
+        for iteration in range(_QL_MAX_ITERATIONS + 1):
+            # the first negligible coupling at or after start ends the block
+            m = start
+            while m < n - 1:
+                diagonal = abs(d[m]) + abs(d[m + 1])
+                if diagonal + abs(e[m]) == diagonal:
+                    break
+                m += 1
+            if m == start:
+                break
+            if iteration == _QL_MAX_ITERATIONS:
+                raise RuntimeError(
+                    f"symm_eigen: QL did not converge in {_QL_MAX_ITERATIONS} "
+                    f"iterations for eigenvalue {start}"
+                )
+            g = (d[start + 1] - d[start]) / (2.0 * e[start])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[start] + e[start] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, start - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # underflow: the rotation splits the block
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[start] -= p
+                e[start] = g
+                e[m] = 0.0
+    return d
+
+
+def symm_eigen(matrix):
+    """All eigenvalues of a symmetric matrix, as an ascending array("d").
+
+    ``matrix`` is a NumPy array or a sequence of rows. It must be square,
+    finite and symmetric to 1e-12 relative to its largest entry; its two
+    triangles are averaged. The reduction starts at the last row, and it
+    runs on the matrix with its order reversed: graded matrices such as
+    the Hilbert-type ones and the truncations, largest at the top left,
+    then meet it small end first, which keeps the Hilbert-type eigenvalues
+    near zero at about 2e-17 where the forward order leaves 8e-16 (n = 512).
+    """
+    rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix
+    try:
+        a = [list(map(float, row)) for row in rows]
+    except TypeError:
+        a = []
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        raise ValueError("symm_eigen: expected a non-empty square matrix")
+    if not all(map(math.isfinite, chain.from_iterable(a))):
         raise ValueError("symm_eigen: matrix entries must be finite")
-    scale = np.abs(a).max()
+    scale = max(max(map(abs, row)) for row in a)
     if scale == 0.0:
-        return np.zeros(a.shape[0])
-    asym = np.abs(a - a.T).max()
+        return array("d", [0.0]) * n
+    asym = max(max(map(abs, map(sub, row, col))) for row, col in zip(a, zip(*a)))
     if asym > 1e-12 * scale:
         raise ValueError(
             f"symm_eigen: symmetry deviation {asym:.3e} exceeds 1e-12 * {scale:.3e}"
         )
-    a = (a + a.T) / 2.0
-    fro = math.sqrt(float((a * a).sum()))
-    threshold = 1e-14 * fro
-    values, sweeps, off = jacobi_eigenvalues(a, threshold, _JACOBI_MAX_SWEEPS)
-    if off > threshold:
-        raise RuntimeError(
-            f"symm_eigen: Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-norm {off:.3e} > {threshold:.3e})"
-        )
-    return values
+    if asym:
+        a = [
+            [x + 0.5 * (y - x) for x, y in zip(row, col)] for row, col in zip(a, zip(*a))
+        ]
+    # the reversed matrix's lower triangle is the upper one read backwards
+    low = [a[i][i:][::-1] for i in range(n - 1, -1, -1)]
+    del a  # the solve holds one triangle of the matrix, not all of it
+    d, e = _tridiagonalize(low)
+    return array("d", sorted(_tridiagonal_eigenvalues(d, e)))
 
 
-def _truncation_eigenvalues(ell, entries):
-    """Ascending eigenvalues of the order-ell truncation ``entries``,
-    solved through its parity blocks where they are square."""
-    n = entries.shape[0]
+def _hankel_rows(values, k):
+    """The k x k matrix with entry (row, col) = values[row + col], as rows."""
+    return [values[row : row + k] for row in range(k)]
+
+
+def _truncation_eigenvalues(ell, n):
+    """Ascending eigenvalues of the order-ell, size-n truncation, solved
+    through its parity blocks where they are square."""
+    values = truncation_values(ell, n)
     if ell % 2 == 0:
-        blocks = (entries[0::2, 0::2], entries[1::2, 1::2]) if n > 1 else (entries,)
-        return np.sort(np.concatenate([symm_eigen(block) for block in blocks]))
+        half = (n + 1) // 2
+        eigenvalues = list(symm_eigen(_hankel_rows(values[0::2], half)))
+        if n > 1:
+            eigenvalues += symm_eigen(_hankel_rows(values[2::2], n - half))
+        return array("d", sorted(eigenvalues))
     if n % 2 == 0:
-        half = symm_eigen(entries[0::2, 1::2])
-        return np.sort(np.concatenate((half, -half)))
-    return symm_eigen(entries)
+        half = symm_eigen(_hankel_rows(values[1::2], n // 2))
+        return array("d", sorted([*half, *(-v for v in half)]))
+    return symm_eigen(_hankel_rows(values, n))
 
 
 def spectrum_report(ell, n):
@@ -167,14 +294,13 @@ def spectrum_report(ell, n):
     """
     ell = _check_int("spectrum_report", "ell", ell, 0, L_MAX)
     n = _check_int("spectrum_report", "n", n, 1, _MAX_SIZE)
-    truncation = hankel_truncation(ell, n)
-    eigenvalues = _truncation_eigenvalues(ell, truncation.entries)
-    low = float(eigenvalues[0])
-    high = float(eigenvalues[-1])
+    eigenvalues = _truncation_eigenvalues(ell, n)
+    low = eigenvalues[0]
+    high = eigenvalues[-1]
     violation = max(0.0, max(abs(low), abs(high)) - 1.0)
     gap = 0.0
-    for left, right in zip(eigenvalues[:-1], eigenvalues[1:]):
-        clipped = min(float(right), 0.95) - max(float(left), -0.95)
+    for left, right in zip(eigenvalues, eigenvalues[1:]):
+        clipped = min(right, 0.95) - max(left, -0.95)
         if clipped > gap:
             gap = clipped
     return SpectrumReport(

@@ -229,6 +229,17 @@ def test_verify_operators_certifies_every_order(capsys, monkeypatch):
     assert certified == list(range(9))
 
 
+def test_verify_operators_statements_are_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "operators")
+    assert code == 0
+    statements = {check["name"]: check["statement"] for check in json.loads(out)["checks"]}
+    assert statements["block-certificates"] == (
+        "parity blocks of every order's truncation match the (sign/pi) "
+        "Hilbert-type blocks of block_parameters"
+    )
+    assert not any("descriptor" in statement for statement in statements.values())
+
+
 def test_verify_unreachable_tolerance_fails(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "fourier", "--tol", "1e-30")
     assert code == 1
@@ -286,6 +297,13 @@ def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
     monkeypatch.setattr("hankel_spectra.kernels.evaluate", explode)
     code, _ = run_cli(capsys, "kernel", "--ell", "1", "--x", "1.0")
     assert code == 3
+
+
+def test_eigensolver_iteration_cap_maps_to_exit_three(capsys, monkeypatch):
+    monkeypatch.setattr("hankel_spectra.operators._QL_MAX_ITERATIONS", 0)
+    code, out = run_cli(capsys, "spectrum", "--ell", "0", "--size", "8")
+    assert code == 3
+    assert out == ""
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -448,6 +466,9 @@ def run(*argv):
 if sys.argv[1] == "density":
     run("density", "--p", "-0.5", "--lambda-min", "0.1", "--lambda-max", "25", "--num", "4")
     unused = {"kernels", "quadrature", "combinatorics", "operators"}
+elif sys.argv[1] == "spectrum":
+    run("spectrum", "--ell", "1", "--size", "33")
+    unused = {"kernels", "quadrature", "combinatorics"}
 elif sys.argv[1] == "blocks":
     run("blocks", "--ell", "3", "--size", "8")
     unused = {"kernels", "quadrature", "combinatorics", "operators"}
@@ -463,18 +484,17 @@ run("density", "--p", "-0.5", "--lambda-min", "0.1", "--lambda-max", "25", "--nu
 for suite in ("identities", "fourier", "kernels", "spectral", "operators"):
     run("verify", "--suite", suite)
 run("blocks", "--ell", "2", "--size", "8", "--format", "csv")
-assert "numpy" not in sys.modules, "a command other than spectrum imported numpy"
+run("spectrum", "--ell", "2", "--size", "8", "--format", "json")
+assert "numpy" not in sys.modules, "a command imported numpy"
 stdlib = {"dataclasses", "inspect"} & set(sys.modules)
-assert not stdlib, f"a command other than spectrum imported {stdlib}"
-run("spectrum", "--ell", "1", "--size", "4")
-assert "numpy" in sys.modules, "spectrum ran without numpy"
+assert not stdlib, f"a command imported {stdlib}"
 """
 
 
-def test_scalar_commands_start_without_numpy():
+def test_every_command_runs_without_numpy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    for first in ("density", "blocks", "identities"):
+    for first in ("density", "blocks", "identities", "spectrum"):
         result = subprocess.run(
             [sys.executable, "-c", _NUMPY_FREE_START, first],
             capture_output=True,
@@ -482,3 +502,26 @@ def test_scalar_commands_start_without_numpy():
             env=env,
         )
         assert result.returncode == 0, result.stderr
+
+
+_OPERATORS_IMPORT = """
+import sys
+import hankel_spectra.operators as op
+assert "numpy" not in sys.modules, "importing operators loaded numpy"
+op.spectrum_report(3, 16)
+op.symm_eigen([[1.0, 2.0], [2.0, 1.0]])
+assert "numpy" not in sys.modules, "solving loaded numpy"
+import numpy as np
+for entries in (op.hankel_truncation(2, 5).entries, op.hilbert_type(-0.5, 5, True).entries):
+    assert type(entries) is np.ndarray and entries.shape == (5, 5)
+    assert not entries.flags.writeable
+"""
+
+
+def test_operators_loads_numpy_only_to_build_arrays():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", _OPERATORS_IMPORT], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr

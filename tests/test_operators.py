@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -284,9 +285,10 @@ def test_symm_eigen_matches_exact_cubic():
 
 
 def test_symm_eigen_handles_trivial_inputs():
-    np.testing.assert_array_equal(op.symm_eigen(np.zeros((3, 3))), np.zeros(3))
-    one = op.symm_eigen(np.array([[4.0]]))
-    np.testing.assert_array_equal(one, [4.0])
+    zeros = op.symm_eigen(np.zeros((3, 3)))
+    assert zeros == array("d", [0.0, 0.0, 0.0])
+    one = op.symm_eigen([[4.0]])
+    assert one == array("d", [4.0])
 
 
 def test_symm_eigen_validation():
@@ -294,21 +296,106 @@ def test_symm_eigen_validation():
         op.symm_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         op.symm_eigen(np.ones((2, 3)))
+    for bad in ([], [[]], [1.0, 2.0], [[1.0, 2.0], [2.0]], np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="square matrix"):
+            op.symm_eigen(bad)
+
+
+def _assert_close_to_lapack(got, matrix, rel=3e-15):
+    want = np.linalg.eigvalsh(np.array(matrix, dtype=float))
+    scale = 1.0 + np.max(np.abs(want))
+    assert isinstance(got, array) and got.typecode == "d"
+    assert list(got) == sorted(got)
+    assert np.max(np.abs(np.asarray(got) - want)) <= rel * scale
+
+
+def test_symm_eigen_two_by_two_closed_form():
+    for a, b, c in ((2.0, 1.0, -1.0), (1.0, 1e-9, 1.0), (-3.0, 4.0, 3.0), (0.0, 1.0, 0.0)):
+        mean = (a + c) / 2.0
+        radius = math.hypot((a - c) / 2.0, b)
+        got = op.symm_eigen([[a, b], [b, c]])
+        scale = max(abs(a), abs(b), abs(c))
+        assert abs(got[0] - (mean - radius)) <= 4e-16 * scale
+        assert abs(got[1] - (mean + radius)) <= 4e-16 * scale
+
+
+def test_symm_eigen_diagonal_matrices_are_exact():
+    # every coupling is zero, so no reflection or rotation touches them
+    diagonal = [3.5, -1.25, 0.0, 7.0, -1.25, 1e-300]
+    matrix = np.diag(diagonal)
+    assert list(op.symm_eigen(matrix)) == sorted(diagonal)
+    assert list(op.symm_eigen(-2.5 * np.eye(7))) == [-2.5] * 7
+
+
+def test_symm_eigen_repeated_eigenvalues():
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((9, 9)))
+    matrix = q @ np.diag([1.0, 1.0, 1.0, 1.0, -2.0, -2.0, -2.0, 3.0, 3.0]) @ q.T
+    matrix = (matrix + matrix.T) / 2.0
+    _assert_close_to_lapack(op.symm_eigen(matrix), matrix)
+
+
+@pytest.mark.parametrize("index", [0, 4, 9])
+def test_symm_eigen_zero_row_and_column(index):
+    a = np.random.default_rng(index).uniform(-1.0, 1.0, size=(10, 10))
+    matrix = a + a.T
+    matrix[index, :] = 0.0
+    matrix[:, index] = 0.0
+    got = op.symm_eigen(matrix)
+    _assert_close_to_lapack(got, matrix)
+    assert min(map(abs, got)) <= 1e-15
+
+
+@pytest.mark.parametrize("direction", [1, -1], ids=["growing", "shrinking"])
+def test_symm_eigen_graded_matrices(direction):
+    # entries graded over 10^-12 .. 10^12 along both axes
+    n = 12
+    a = np.random.default_rng(3).uniform(-1.0, 1.0, size=(n, n))
+    grades = 10.0 ** (direction * np.linspace(-6.0, 6.0, n))
+    matrix = (a + a.T) * np.outer(grades, grades)
+    _assert_close_to_lapack(op.symm_eigen(matrix), matrix)
+
+
+def test_symm_eigen_negative_definite():
+    b = np.random.default_rng(11).standard_normal((15, 15))
+    matrix = -(b @ b.T + np.eye(15))
+    got = op.symm_eigen(matrix)
+    assert got[-1] < 0.0
+    _assert_close_to_lapack(got, matrix)
+
+
+def test_symm_eigen_array_and_lists_agree_bit_for_bit():
+    a = np.random.default_rng(2).uniform(-5.0, 5.0, size=(23, 23))
+    matrix = (a + a.T) / 2.0
+    from_array = op.symm_eigen(matrix)
+    assert op.symm_eigen(matrix.tolist()).tobytes() == from_array.tobytes()
+    assert op.symm_eigen(tuple(map(tuple, matrix))).tobytes() == from_array.tobytes()
+
+
+def test_symm_eigen_averages_a_slightly_asymmetric_matrix():
+    a = np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 6))
+    sym = a + a.T
+    tilted = sym.copy()
+    tilted[0, 3] += 1e-13
+    _assert_close_to_lapack(op.symm_eigen(tilted), sym, rel=1e-13)
+
+
+def test_symm_eigen_iteration_cap_is_a_numerical_failure(monkeypatch):
+    monkeypatch.setattr(op, "_QL_MAX_ITERATIONS", 0)
+    assert op.symm_eigen(np.eye(3)) == array("d", [1.0, 1.0, 1.0])
+    with pytest.raises(RuntimeError, match="did not converge in 0 iterations"):
+        op.symm_eigen([[1.0, 2.0], [2.0, 1.0]])
 
 
 @given(
     seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
-    n=st.integers(min_value=2, max_value=10),
+    n=st.integers(min_value=2, max_value=40),
 )
 @settings(max_examples=60, deadline=None)
 def test_symm_eigen_matches_lapack(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-5.0, 5.0, size=(n, n))
     sym = (a + a.T) / 2.0
-    got = op.symm_eigen(sym)
-    want = np.linalg.eigvalsh(sym)
-    scale = 1.0 + np.max(np.abs(want))
-    assert np.max(np.abs(got - want)) < 1e-12 * scale
+    _assert_close_to_lapack(op.symm_eigen(sym), sym, rel=1e-12)
 
 
 def test_spectrum_report_small_case():
@@ -343,7 +430,7 @@ def test_spectrum_report_is_deterministic():
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
 @pytest.mark.parametrize("ell", range(9))
 def test_spectrum_report_blocks_match_the_full_solve(ell, n):
-    # the full-matrix Jacobi solve and LAPACK stay the oracles for the
+    # the full-matrix solve and LAPACK stay the oracles for the
     # parity-block path
     values = np.asarray(op.spectrum_report(ell, n).eigenvalues)
     entries = op.hankel_truncation(ell, n).entries
