@@ -3,9 +3,8 @@ family of Hankel integral operators.
 
 Importing the package loads none of its modules: each exported name is
 resolved from the module that defines it on first use, so a caller pays
-only for the modules it touches. No module imports NumPy when it is
-loaded; ``operators`` imports it only inside the three functions that
-return NumPy arrays.
+only for the modules it touches. The package needs only the standard
+library: no module imports NumPy, and matrices are tuples of row tuples.
 """
 
 import importlib

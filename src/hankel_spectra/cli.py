@@ -9,12 +9,13 @@ package modules it uses when it runs:
 
 - ``kernel`` and ``verify --suite fourier|kernels``: ``kernels``, which
   loads ``quadrature``, ``combinatorics`` and ``specfun``;
-- ``density``, ``blocks`` and ``verify --suite spectral|operators``:
-  ``spectral`` and ``specfun``;
+- ``density``, ``blocks`` and ``verify --suite spectral``: ``spectral``
+  and ``specfun``;
 - ``verify --suite identities``: ``combinatorics`` and ``specfun``;
-- ``spectrum``: ``operators``, which loads ``spectral`` and ``specfun``.
+- ``spectrum`` and ``verify --suite operators``: ``operators``, which
+  loads ``spectral`` and ``specfun``.
 
-No command loads NumPy.
+No package module loads NumPy.
 
 ``tempfile`` is imported only to write an --out file.
 
@@ -299,7 +300,7 @@ def _suite_kernels(tol):
 
 
 def _suite_operators(tol):
-    from . import spectral
+    from . import operators, spectral
     from .specfun import L_MAX
 
     certificates = [spectral.block_certificate(ell, 32) for ell in range(L_MAX + 1)]
@@ -307,14 +308,13 @@ def _suite_operators(tol):
     worst_cross = max(c.cross_block_max for c in certificates)
     worst_conj = 0.0
     size = 64
-    signs = [-1.0 if i % 2 else 1.0 for i in range(size)]
+    signs = operators.alternating_signs(size)
     for p in (0.5, -0.5, -1.5):
-        plain = spectral.hilbert_type_values(p, size)
-        checker = [-value if s % 2 else value for s, value in enumerate(plain)]
-        for i in range(size):
-            for j in range(size):
-                conjugated = checker[i + j] * signs[i] * signs[j]
-                worst_conj = max(worst_conj, abs(conjugated - plain[i + j]))
+        plain = operators.hilbert_type(p, size, False).entries
+        checker = operators.hilbert_type(p, size, True).entries
+        for sign_i, row, plain_row in zip(signs, checker, plain):
+            for sign_j, value, target in zip(signs, row, plain_row):
+                worst_conj = max(worst_conj, abs(sign_i * value * sign_j - target))
     return [
         _check(
             "block-certificates",

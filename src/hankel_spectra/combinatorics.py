@@ -19,8 +19,8 @@ def p_poly(ell):
     ]
 
 
-# cos(k pi/4) in units of sqrt(2)/2: value = table[k % 8] * sqrt(2)/2 when
-# k is odd, table[k % 8]/2 * ... ; stored as (rational part, power of sqrt2)
+# the sign (+1, 0 or -1) of cos(k pi/4), indexed by k mod 8; _kind1_term
+# supplies the size, 1 at k = 0, 4 and sqrt(2)/2 at odd k
 _COS_EIGHTH = {0: 1, 1: 1, 2: 0, 3: -1, 4: -1, 5: -1, 6: 0, 7: 1}
 
 

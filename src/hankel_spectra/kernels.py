@@ -36,6 +36,10 @@ from .specfun import (
 
 X_MIN_CLOSED = 1e-3
 
+# x at which the automatic route and lp_diagnostic pass from the
+# convolution route (below) to the closed form
+_CROSSOVER = 0.1
+
 _SQRT_8_OVER_PI = math.sqrt(8.0 / math.pi)
 _LP_MAX_PANELS = 80_000
 
@@ -288,7 +292,7 @@ def evaluate(ell, x, method="auto"):
             x=x, value=2.0 / math.pi * sinc(x), route="closed", error_estimate=0.0
         )
     if method == "auto":
-        method = "closed" if x >= 0.1 else "conv"
+        method = "closed" if x >= _CROSSOVER else "conv"
     if method == "closed":
         return k_closed(ell, x)
     if method == "conv":
@@ -315,28 +319,28 @@ def lp_diagnostic(ell, p, big_x, tol=1e-5):
     if big_x <= 0.0:
         raise ValueError(f"lp_diagnostic: X = {big_x} must be positive")
     shift = 0.5 * ell * math.pi
-    k0 = math.ceil((0.1 - shift) / math.pi)
-    if big_x > 0.1:
+    k0 = math.ceil((_CROSSOVER - shift) / math.pi)
+    if big_x > _CROSSOVER:
         panels = math.ceil((big_x - shift) / math.pi) - k0 + 1
         quadrature._check_seed_panels(panels, _LP_MAX_PANELS)
     total = 0.0
-    low_edge = min(big_x, 0.1)
+    low_edge = min(big_x, _CROSSOVER)
     low = quadrature.integrate_adaptive(
         lambda x: abs(k_conv(ell, x, tol=1e-9).value) ** p, 0.0, low_edge, tol
     )
     total += low.value
-    if big_x <= 0.1:
+    if big_x <= _CROSSOVER:
         return total
     # seed breakpoints at the asymptotic zeros x = ell pi/2 + k pi
     zeros = []
     xk = shift + k0 * math.pi
     while xk < big_x:
-        if xk > 0.1:
+        if xk > _CROSSOVER:
             zeros.append(xk)
         xk += math.pi
     main = quadrature.integrate_adaptive(
         lambda x: abs(k_closed(ell, x).value) ** p,
-        0.1,
+        _CROSSOVER,
         big_x,
         tol,
         breakpoints=zeros,

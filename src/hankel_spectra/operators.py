@@ -21,25 +21,23 @@ small ones, so that case keeps the full-matrix solve.
 
 Every matrix built here depends only on row + col, so it is stored as its
 2N - 1 anti-diagonal values, the lists ``spectral.truncation_values`` and
-``spectral.hilbert_type_values`` give. ``spectrum_report`` builds its
-blocks as lists of rows straight from them (the (even, even) block is the
-Hankel matrix of values[0::2], U that of values[1::2]). ``entries`` of a
-truncation or Hilbert-type matrix is a read-only (N, N) NumPy Hankel
-window over them (``sliding_window_view``), and entries[i, j] is value
-i + j. It reads like any array; a caller who wants to write to it copies
-it first.
+``spectral.hilbert_type_values`` give, and one builder, ``_hankel_rows``,
+turns them into a tuple of row tuples: row i is values[i : i + N], so
+entries[i][j] is value i + j and every row shares the same 2N - 1 float
+objects. ``spectrum_report`` builds its blocks the same way (the (even,
+even) block is the Hankel matrix of values[0::2], U that of
+values[1::2]). A size-N matrix costs N^2 row pointers, about 134 MB at
+the size cap; any dense use of it (``symm_eigen``, ``numpy.asarray``)
+builds at least that much.
 
-The three records are ``collections.namedtuple`` types.
-``HankelTruncation`` and ``HilbertTypeMatrix`` hold NumPy arrays, so two
-distinct ones do not compare with ``==`` (the array comparison raises,
-as it does for bare arrays). ``SpectrumReport`` holds its eigenvalues as
-an ``array.array("d")``, 8 bytes a value like a NumPy array, so it
-compares by value. All three are unhashable.
+The three records are ``collections.namedtuple`` types whose fields are
+numbers, bools and tuples (``SpectrumReport`` holds its eigenvalues as
+an ``array.array("d")``, 8 bytes a value), so all three compare by value;
+``HankelTruncation`` and ``HilbertTypeMatrix`` also hash by value.
 
-NumPy is imported only inside the three functions that return NumPy
-arrays: ``hankel_truncation``, ``hilbert_type`` and
-``alternating_signs``. Importing this module, ``symm_eigen`` and
-``spectrum_report`` load none of it. The block certificates and the
+This module imports only the standard library, ``specfun`` and
+``spectral``; ``symm_eigen`` still accepts a NumPy array from a caller,
+through its ``tolist`` method. The block certificates and the
 coefficients live in ``spectral`` and are re-exported here.
 """
 
@@ -64,7 +62,7 @@ from .spectral import (  # the certificate and the coefficients are re-exported
 _QL_MAX_ITERATIONS = 30
 
 
-# ell and size ints, entries the read-only (size, size) Hankel window
+# ell and size ints, entries the (size, size) Hankel matrix as row tuples
 HankelTruncation = namedtuple("HankelTruncation", "ell size entries")
 
 # p a float, size an int, alternating a bool, entries as above
@@ -76,23 +74,23 @@ SpectrumReport = namedtuple(
 )
 
 
-def _hankel_window(values, n):
-    """The read-only (n, n) NumPy view with entry (row, col) = values[row + col]."""
-    import numpy as np
-
-    return np.lib.stride_tricks.sliding_window_view(np.array(values), n)
+def _hankel_rows(values, k):
+    """The k x k matrix with entry (row, col) = values[row + col], as a
+    tuple of row tuples sharing the floats of ``values``."""
+    values = tuple(values)
+    return tuple(values[row : row + k] for row in range(k))
 
 
 def hankel_truncation(ell, n):
     """The N x N compression with entry (row, col) = c_{row+col+ell+1}.
 
-    ``entries`` is a read-only Hankel window over the 2N - 1 coefficients
-    c_{ell+1}, ..., c_{2N+ell-1}; copy it before writing to it.
+    ``entries`` holds the rows as tuples over the 2N - 1 coefficients
+    c_{ell+1}, ..., c_{2N+ell-1}.
     """
     ell = _check_int("hankel_truncation", "ell", ell, 0, L_MAX)
     n = _check_int("hankel_truncation", "n", n, 1, _MAX_SIZE)
     return HankelTruncation(
-        ell=ell, size=n, entries=_hankel_window(truncation_values(ell, n), n)
+        ell=ell, size=n, entries=_hankel_rows(truncation_values(ell, n), n)
     )
 
 
@@ -100,8 +98,8 @@ def hilbert_type(p, n, alternating):
     """Entry (row, col) = 1/(1 + row + col - p), optionally with the
     (-1)^(row+col) sign checkerboard.
 
-    ``entries`` is a read-only Hankel window over the 2N - 1 values
-    1/(1 + s - p), s = 0 .. 2N - 2; copy it before writing to it.
+    ``entries`` holds the rows as tuples over the 2N - 1 values
+    1/(1 + s - p), s = 0 .. 2N - 2.
     """
     _check_finite("hilbert_type", "p", p)
     n = _check_int("hilbert_type", "n", n, 1, _MAX_SIZE)
@@ -109,19 +107,16 @@ def hilbert_type(p, n, alternating):
     if alternating:
         values = [-v if s % 2 else v for s, v in enumerate(values)]
     return HilbertTypeMatrix(
-        p=p, size=n, alternating=bool(alternating), entries=_hankel_window(values, n)
+        p=p, size=n, alternating=bool(alternating), entries=_hankel_rows(values, n)
     )
 
 
 def alternating_signs(n):
-    """The vector (+1, -1, +1, ...): conjugating by its diagonal flips the
-    checkerboard sign pattern (exactly, in floating point)."""
-    import numpy as np
-
+    """The tuple (+1.0, -1.0, +1.0, ...) of length n: conjugating by its
+    diagonal flips the checkerboard sign pattern (exactly, in floating
+    point)."""
     n = _check_int("alternating_signs", "n", n, 0)
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    return signs
+    return tuple(-1.0 if i % 2 else 1.0 for i in range(n))
 
 
 def _tridiagonalize(low):
@@ -258,11 +253,6 @@ def symm_eigen(matrix):
     del a  # the solve holds one triangle of the matrix, not all of it
     d, e = _tridiagonalize(low)
     return array("d", sorted(_tridiagonal_eigenvalues(d, e)))
-
-
-def _hankel_rows(values, k):
-    """The k x k matrix with entry (row, col) = values[row + col], as rows."""
-    return [values[row : row + k] for row in range(k)]
 
 
 def _truncation_eigenvalues(ell, n):

@@ -12,8 +12,8 @@ the truncations.
 Every matrix the certificate involves depends only on row + col, so it
 works on the 2N - 1 anti-diagonal values that fix a size-N matrix:
 ``truncation_values`` (the Fourier coefficients of a truncation) and
-``hilbert_type_values`` (1/(1 + s - p)). ``operators`` builds its NumPy
-matrices as windows over the same two lists; this module imports only
+``hilbert_type_values`` (1/(1 + s - p)). ``operators`` builds its
+matrices as row tuples over the same two lists; this module imports only
 the standard library and ``specfun``.
 
 The two result records are ``collections.namedtuple`` types: immutable,

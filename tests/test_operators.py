@@ -33,11 +33,13 @@ def test_hankel_truncation_small_examples():
 
 def test_hankel_truncation_is_constant_on_antidiagonals():
     entries = op.hankel_truncation(2, 9).entries
+    assert type(entries) is tuple and len(entries) == 9
     for k in range(9):
+        assert type(entries[k]) is tuple and len(entries[k]) == 9
         for n in range(9):
-            assert entries[k, n] == entries[n, k]
+            assert entries[k][n] == entries[n][k]
             if k + 1 < 9 and n - 1 >= 0:
-                assert entries[k, n] == entries[k + 1, n - 1]
+                assert entries[k][n] is entries[k + 1][n - 1]
 
 
 def test_hilbert_type_entries_and_conjugation():
@@ -174,9 +176,18 @@ def _dense_certificate(ell, n):
     return float(deviation).hex(), float(cross).hex()
 
 
-def _same_bits(window, dense):
-    return window.shape == dense.shape and (
-        np.ascontiguousarray(window).tobytes() == dense.tobytes()
+def _same_bits(rows, dense):
+    """Rows are immutable tuples of floats, one window of the anti-diagonal
+    values each, and bit-identical to the dense reference."""
+    n = len(dense)
+    return (
+        type(rows) is tuple
+        and len(rows) == n
+        and all(type(row) is tuple and len(row) == n for row in rows)
+        and all(type(v) is float for row in rows for v in row)
+        # row i + 1 is row i shifted by one value
+        and all(a is b for i in range(n - 1) for a, b in zip(rows[i][1:], rows[i + 1]))
+        and np.array(rows, dtype=float).tobytes() == dense.tobytes()
     )
 
 
@@ -184,7 +195,6 @@ def _same_bits(window, dense):
 def test_truncations_are_read_only_windows_on_the_dense_values(n):
     for ell in range(9):
         entries = op.hankel_truncation(ell, n).entries
-        assert not entries.flags.writeable
         assert _same_bits(entries, _dense_truncation(ell, n))
 
 
@@ -193,8 +203,14 @@ def test_truncations_are_read_only_windows_on_the_dense_values(n):
 def test_hilbert_type_are_read_only_windows_on_the_dense_values(n, alternating):
     for p in (0.5, -0.5, -2.5):
         entries = op.hilbert_type(p, n, alternating).entries
-        assert not entries.flags.writeable
         assert _same_bits(entries, _dense_hilbert(p, n, alternating))
+
+
+def test_alternating_signs_is_a_tuple_of_unit_floats():
+    assert op.alternating_signs(0) == ()
+    signs = op.alternating_signs(5)
+    assert type(signs) is tuple
+    assert [v.hex() for v in signs] == [v.hex() for v in (1.0, -1.0, 1.0, -1.0, 1.0)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 33, 300])
@@ -501,3 +517,23 @@ def test_records_are_immutable_named_tuples(kind, fields, build):
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+@pytest.mark.parametrize(
+    "build, other",
+    [
+        (lambda: op.hankel_truncation(2, 4), lambda: op.hankel_truncation(3, 4)),
+        (
+            lambda: op.hilbert_type(-0.5, 4, alternating=True),
+            lambda: op.hilbert_type(-0.5, 4, alternating=False),
+        ),
+    ],
+    ids=["HankelTruncation", "HilbertTypeMatrix"],
+)
+def test_matrix_records_compare_and_hash_by_value(build, other):
+    record = build()
+    again = build()
+    assert record.entries is not again.entries
+    assert record == again and hash(record) == hash(again)
+    assert record != other()
+    assert len({record, again, other()}) == 2
