@@ -106,7 +106,8 @@ def _points(single, low, high, num, what):
     if num < 2:
         raise ValueError(f"grid needs --num >= 2, got {num}")
     step = (high - low) / (num - 1)
-    return [low + k * step for k in range(num)]
+    # low + (num - 1) * step can miss high by an ulp; the grid ends at high
+    return [low + k * step for k in range(num - 1)] + [high]
 
 
 def cmd_kernel(args):

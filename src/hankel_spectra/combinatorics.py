@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from .specfun import L_MAX, _check_int
+from .specfun import L_MAX, _check_int, _gaussian_power
 
 
 def p_poly(ell):
@@ -19,28 +19,6 @@ def p_poly(ell):
     ]
 
 
-# the sign (+1, 0 or -1) of cos(k pi/4), indexed by k mod 8; _kind1_term
-# supplies the size, 1 at k = 0, 4 and sqrt(2)/2 at odd k
-_COS_EIGHTH = {0: 1, 1: 1, 2: 0, 3: -1, 4: -1, 5: -1, 6: 0, 7: 1}
-
-
-def _kind1_term(ell, j):
-    # cos((ell-j) pi/4) / 2^((ell+j-2)/2) * C(ell+j-1, ell-1), exact.
-    # ell-j and ell+j-2 share parity, so the sqrt(2) factors cancel and
-    # every term is rational.
-    k = (ell - j) % 8
-    sign = _COS_EIGHTH[k]
-    if sign == 0:
-        return Fraction(0)
-    binom = math.comb(ell + j - 1, ell - 1)
-    if (ell - j) % 2 == 0:
-        # cos is 0 or +-1 and the exponent is integral
-        return Fraction(sign * binom, 2 ** ((ell + j - 2) // 2))
-    # cos = +-sqrt(2)/2; combined with the half-integral power of 2 this
-    # leaves 2^((ell+j-1)/2) in the denominator
-    return Fraction(sign * binom, 2 ** ((ell + j - 1) // 2))
-
-
 def sum_identity(kind, ell):
     """Both sides of one of the three closed summation identities, exact.
 
@@ -51,15 +29,23 @@ def sum_identity(kind, ell):
     kind = _check_int("sum_identity", "kind", kind, 1, 3)
     ell = _check_int("sum_identity", "ell", ell, 1)
     if kind == 1:
-        lhs = sum(_kind1_term(ell, j) for j in range(ell))
+        # cos(k pi/4) 2^(k/2) = Re (1+i)^k, so term j is
+        # Re (1+i)^(ell-j) C(ell+j-1, ell-1) / 2^(ell-1)
+        lhs = sum(
+            Fraction(
+                _gaussian_power(ell - j)[0] * math.comb(ell + j - 1, ell - 1),
+                2 ** (ell - 1),
+            )
+            for j in range(ell)
+        )
         return lhs, Fraction(1)
+    # cos(ell pi/2) 2^ell and sin(ell pi/2) 2^ell are Re and Im of (1+i)^(2 ell)
+    re, im = _gaussian_power(2 * ell)
     if kind == 2:
         lhs = sum((-1) ** n * math.comb(2 * ell, 2 * n) for n in range(ell + 1))
-        rhs = {0: 2**ell, 1: 0, 2: -(2**ell), 3: 0}[ell % 4]
-        return lhs, rhs
+        return lhs, re
     lhs = sum((-1) ** (n + 1) * math.comb(2 * ell, 2 * n + 1) for n in range(ell))
-    rhs = {0: 0, 1: -(2**ell), 2: 0, 3: 2**ell}[ell % 4]
-    return lhs, rhs
+    return lhs, -im
 
 
 def alternating_factorial_identity(m, r):

@@ -3,14 +3,14 @@
 Four independent evaluations coexist here. The convolution route k_conv
 integrates the private pieces behind the Fourier building blocks
 fourier_xi_pow and fourier_psi_tilde (p_ell and the alternating
-sinc-derivative sum); the fully explicit route k_closed sums
-exponential-integral terms, collapsed once per order into an exact
-linear form over A(x) x^k, sin(x) x^k, cos(x) x^k and sinc derivatives
-(the tests keep the term-by-term pieces as its reference);
-fourier_symbol_oracle from the quadrature module is the slow reference;
-and k_asymptotic is the large-x limit shape. Their mutual agreement is
-the package's main correctness argument, so none of them is allowed to
-call into another's machinery.
+sinc-derivative sum); the fully explicit route k_closed expands the
+symbol in partial fractions of 1/(1-it), which gives once per order an
+exact linear form over A(x) x^k, sin(x) x^k and cos(x) x^k plus one
+multiple of sinc(x) (the tests compare it with a second, term-by-term
+derivation); fourier_symbol_oracle from the quadrature module is the
+slow reference; and k_asymptotic is the large-x limit shape. Their
+mutual agreement is the package's main correctness argument, so none of
+them is allowed to call into another's machinery.
 
 Every route returns a ``KernelEvaluation`` named tuple.
 """
@@ -28,10 +28,10 @@ from .specfun import (
     L_MAX,
     _check_finite,
     _check_int,
+    _gaussian_power,
     _sinc_derivative,
     e1_scaled,
     sinc,
-    sinc_derivative,
 )
 
 X_MIN_CLOSED = 1e-3
@@ -167,77 +167,47 @@ def _a_value(x):
 
 @lru_cache(maxsize=None)
 def _closed_form(ell):
-    # The whole (m, n) sum of p/q terms behind k_closed, weighted by
-    # (-1)^n C(2 ell, n) (2^m/m!) C(2 ell - m - 2, ell - 1) / 2^(2 ell - 2),
-    # collapsed in exact arithmetic into coefficients of A x^k, sin(x) x^k,
-    # cos(x) x^k (k < ell) and sinc^(s)(x) (s < 2 ell). The sums over n
-    # are taken first, per (m, j), so the expansion costs O(ell^3). The
-    # '+' terms' polynomial blocks carry sum_n (-1)^n C(2 ell, n) C(n, j),
-    # which is zero for j < 2 ell, so B and their trig terms drop out and
-    # only their sinc boundary terms remain. The trig factors expand as
-    # 2^(-r/2) sin(r pi/4 - x) = Im(w^r) cos x - Re(w^r) sin x with
-    # w = (1+i)/2.
-    def sign(k):
-        return -1 if k % 2 else 1
-
-    rot = [(Fraction(1), Fraction(0))]  # (Re w^r, Im w^r)
-    for _ in range(ell):
-        re, im = rot[-1]
-        rot.append(((re - im) / 2, (re + im) / 2))
+    # Rows k < ell of the coefficients of A x^k, sin(x) x^k and cos(x) x^k
+    # in pi k^(ell)(x) - 2 (-1)^ell sinc(x), exact, then rounded once. The
+    # symbol's partial fractions ((1+it)/(1-it))^ell = sum_j C(ell, j)
+    # (-1)^(ell-j) 2^j (1-it)^(-j) make pi k^(ell) the same sum over the
+    # integrals I_j(x) of e^(-ixt) (1-it)^(-j) over [-1, 1]: I_0 = 2 sinc x,
+    # I_1 = 2 A(x) and, by parts, I_j = (x I_(j-1) + 2 Im(w^(j-1) e^(-ix)))
+    # / (j-1) with w = (1+i)/2. So (j-1)!/2 I_j = x^(j-1) A + sum_{r<j}
+    # (r-1)! x^(j-1-r) (Im(w^r) cos x - Re(w^r) sin x), weighted by c below.
     poly = [[Fraction(0)] * 3 for _ in range(ell)]  # rows k: A, sin, cos
-    sincs = [Fraction(0)] * (2 * ell)
-    alternating = [sign(n) * math.comb(2 * ell, n) for n in range(2 * ell + 1)]
-    for m in range(ell):
-        # the weight's n-independent factor; the sums over n stay integral
-        base = Fraction(
-            2**m * math.comb(2 * ell - m - 2, ell - 1),
-            math.factorial(m) * 2 ** (2 * ell - 2),
+    for j in range(1, ell + 1):
+        c = Fraction(
+            (-1) ** (ell - j) * math.comb(ell, j) * 2 ** (j + 1), math.factorial(j - 1)
         )
-        for j in range(m + 1):
-            fall = math.factorial(m) // math.factorial(m - j)
-            minus = base * fall * sum(
-                a * math.comb(n, j) * sign(n - j) for n, a in enumerate(alternating)
-            )
-            poly[m - j][0] += minus
-            for r in range(1, m - j + 1):
-                re, im = rot[r]
-                lead = math.factorial(r - 1) * minus
-                poly[m - j - r][1] -= lead * re
-                poly[m - j - r][2] += lead * im
-        for s in range(2 * ell - m):
-            # '-' and '+' boundary terms together
-            sincs[s] += base * sum(
-                alternating[n]
-                * (math.factorial(n - s - 1) // math.factorial(n - m - s - 1))
-                * (sign(n - m - 1 + s) + sign(m + 1))
-                for n in range(m + s + 1, 2 * ell + 1)
-            )
-    return (
-        tuple(tuple(float(c) for c in row) for row in poly),
-        tuple((s, float(c)) for s, c in enumerate(sincs) if c),
-    )
+        poly[j - 1][0] = c
+        for r in range(1, j):
+            re, im = _gaussian_power(r)
+            lead = c * Fraction(math.factorial(r - 1), 2**r)
+            poly[j - 1 - r][1] -= lead * re
+            poly[j - 1 - r][2] += lead * im
+    return tuple(tuple(map(float, row)) for row in poly)
 
 
 def k_closed(ell, x):
     """Kernel value through the explicit exponential-integral formula.
 
-    The sum of the term-by-term pieces over (m, n) is a fixed rational linear
-    combination of A(x) x^k, sin(x) x^k, cos(x) x^k (k < ell) and sinc
-    derivatives, with A the damped sinc integral behind the E1(-x + ix)
-    terms; the E1(x + ix) terms cancel exactly. Its coefficients are
-    expanded once per order in exact arithmetic (on first use, then
-    cached), and the boundary terms cancel down to a single multiple of
-    sinc(x). A call costs one e1_scaled call, one Horner pass over the
-    three polynomials and the sinc derivatives whose coefficient is not
-    zero.
+    The kernel is the Fourier transform of the symbol 2 ((1+it)/(1-it))^ell
+    on [-1, 1] against e^(-ixt), divided by 2 pi. Expanding the symbol in
+    partial fractions of 1/(1-it) turns pi k^(ell)(x) into 2 (-1)^ell sinc(x)
+    plus a fixed rational linear combination of A(x) x^k, sin(x) x^k and
+    cos(x) x^k (k < ell), with A the damped sinc integral behind the
+    E1(-x + ix) terms. Its coefficients are built once per order in exact
+    arithmetic (on first use, then cached). A call costs one e1_scaled
+    call, one Horner pass over the three polynomials and one sinc.
 
     Below X_MIN_CLOSED the logarithmic singularity of A only cancels
     across the whole sum and double precision loses the value; that
     region is k_conv's job. At large x the polynomial terms grow like
     x^(ell-1) and cancel to a value of order 1/x. The error estimate is
-    rounding noise scaled by the total absolute mass of the collapsed
-    sum, so it grows with that cancellation. Where the sum or that mass
-    leaves the double range it raises OverflowError.
+    rounding noise scaled by the total absolute mass of the sum, so it
+    grows with that cancellation. Where the sum or that mass leaves the
+    double range it raises OverflowError.
     """
     ell = _check_int("k_closed", "ell", ell, 1, L_MAX)
     _check_finite("k_closed", "x", x)
@@ -245,21 +215,19 @@ def k_closed(ell, x):
         raise ValueError(
             f"k_closed: x = {x} below X_MIN_CLOSED = {X_MIN_CLOSED}; use k_conv"
         )
-    poly, sincs = _closed_form(ell)
     basis = (_a_value(x), math.sin(x), math.cos(x))
     total = 0.0
     abs_mass = 0.0
-    for row in reversed(poly):
+    for row in reversed(_closed_form(ell)):
         total *= x
         abs_mass *= x
         for coef, value in zip(row, basis):
             term = coef * value
             total += term
             abs_mass += abs(term)
-    for s, coef in sincs:
-        term = coef * sinc_derivative(s, x)
-        total += term
-        abs_mass += abs(term)
+    term = 2.0 * (-1) ** ell * sinc(x)
+    total += term
+    abs_mass += abs(term)
     if not (math.isfinite(total) and math.isfinite(abs_mass)):
         raise OverflowError(f"k_closed: the sum at ell = {ell}, x = {x} overflows")
     return KernelEvaluation(

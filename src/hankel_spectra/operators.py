@@ -36,8 +36,8 @@ an ``array.array("d")``, 8 bytes a value), so all three compare by value;
 ``HankelTruncation`` and ``HilbertTypeMatrix`` also hash by value.
 
 This module imports only the standard library, ``specfun`` and
-``spectral``; ``symm_eigen`` still accepts a NumPy array from a caller,
-through its ``tolist`` method. The block certificates and the
+``spectral``; ``symm_eigen`` reads any sequence of rows, a NumPy array
+from a caller too, row by row. The block certificates and the
 coefficients live in ``spectral`` and are re-exported here.
 """
 
@@ -218,17 +218,17 @@ def _tridiagonal_eigenvalues(d, e):
 def symm_eigen(matrix):
     """All eigenvalues of a symmetric matrix, as an ascending array("d").
 
-    ``matrix`` is a NumPy array or a sequence of rows. It must be square,
-    finite and symmetric to 1e-12 relative to its largest entry; its two
-    triangles are averaged. The reduction starts at the last row, and it
-    runs on the matrix with its order reversed: graded matrices such as
-    the Hilbert-type ones and the truncations, largest at the top left,
-    then meet it small end first, which keeps the Hilbert-type eigenvalues
-    near zero at about 2e-17 where the forward order leaves 8e-16 (n = 512).
+    ``matrix`` is a sequence of rows (a NumPy array too), each entry read
+    through float(). It must be square, finite and symmetric to 1e-12
+    relative to its largest entry; its two triangles are averaged. The
+    reduction starts at the last row, and it runs on the matrix with its
+    order reversed: graded matrices such as the Hilbert-type ones and the
+    truncations, largest at the top left, then meet it small end first,
+    which keeps the Hilbert-type eigenvalues near zero at about 2e-17
+    where the forward order leaves 8e-16 (n = 512).
     """
-    rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix
     try:
-        a = [list(map(float, row)) for row in rows]
+        a = [list(map(float, row)) for row in matrix]
     except TypeError:
         a = []
     n = len(a)

@@ -298,29 +298,21 @@ def damped_moment_shifted(n, a, x):
     return total
 
 
-def _trig_moment_coefficient(m):
-    # m!/2^((m-1)/2) * cos((m+1) pi/4), exact: the residue of (m+1) mod 8
-    # decides the sign and whether the half-power of 2 survives.
-    from fractions import Fraction
-
-    r = (m + 1) % 8
-    if r in (2, 6):
-        return Fraction(0)
-    if r in (0, 4):
-        # m odd, cos = +-1, exponent (m-1)/2 integral
-        sign = 1 if r == 0 else -1
-        return Fraction(sign * math.factorial(m), 2 ** ((m - 1) // 2))
-    # m even, cos = +-sqrt(2)/2 and 2^((m-1)/2) = 2^(m/2)/sqrt(2) cancel
-    sign = 1 if r in (1, 7) else -1
-    return Fraction(sign * math.factorial(m), 2 ** (m // 2))
+def _gaussian_power(r):
+    # (Re, Im) of (1+i)^r as exact ints, r >= 0: (1+i)^2 = 2i, so
+    # (1+i)^r = 2^q i^q (1+i)^(r - 2q) with q = r // 2
+    q, odd = divmod(r, 2)
+    re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[q % 4]
+    re, im = re << q, im << q
+    return (re - im, re + im) if odd else (re, im)
 
 
 def damped_trig_moment(m, x, kind):
     """Closed form of the integral of e^(-|y|) |y|^m trig(x - y) over R.
 
-    The coefficient m!/2^((m-1)/2) cos((m+1) pi/4) is assembled in exact
-    rational arithmetic (the sqrt(2) factors cancel case by case), so the
-    only rounding is the final trig evaluation.
+    The coefficient m!/2^((m-1)/2) cos((m+1) pi/4) is m! Re((1+i)^(m+1))/2^m,
+    a quotient of exact integers rounded once, so the only other rounding
+    is the final trig evaluation.
     """
     m = _check_int("damped_trig_moment", "m", m, 0, 2 * L_MAX)
     _check_finite("damped_trig_moment", "x", x)
@@ -330,4 +322,4 @@ def damped_trig_moment(m, x, kind):
         t = math.cos(x)
     else:
         raise ValueError(f"damped_trig_moment: kind must be 'sin' or 'cos', got {kind!r}")
-    return float(_trig_moment_coefficient(m)) * t
+    return math.factorial(m) * _gaussian_power(m + 1)[0] / 2**m * t

@@ -1,9 +1,11 @@
 """Term-by-term reference for the closed kernel route.
 
-``p_term`` and ``q_term`` evaluate the exponential-integral pieces that
-``kernels.k_closed`` sums, one (sign, m, n) term at a time.
-``k_closed`` expands the same algebra once per order in exact
-arithmetic; the tests compare it against the plain sum of these terms.
+``p_term`` and ``q_term`` evaluate, one (sign, m, n) term at a time, the
+exponential-integral pieces of a second derivation of the kernel: the
+convolution formula integrated by parts, with A and B the damped sinc
+integrals and sinc-derivative boundary terms. ``kernels.k_closed`` comes
+from the symbol's partial fractions instead; the tests compare it
+against the plain sum of these terms over (m, n).
 """
 
 import cmath
@@ -74,8 +76,7 @@ def p_term(sign, m, n, x):
     """Closed form of the integral of y^m e^(-y) sinc^(n)(x -+ y) over
     (0, inf) in the regime n <= m.
 
-    Evaluated term by term; k_closed uses the same algebra collapsed once
-    per order."""
+    Evaluated term by term, independently of k_closed."""
     if not 0 <= n <= m <= L_MAX - 1:
         raise ValueError(f"p_term: need 0 <= n <= m <= {L_MAX - 1}, got m={m}, n={n}")
     _check_term_args("p_term", sign, x)

@@ -43,6 +43,24 @@ def test_kernel_grid_json(capsys):
         assert math.isfinite(row["value"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--ell", "1", "--xmin", "0.1", "--xmax", "1000", "--num", "24"),
+        ("density", "--p", "0.5", "--lambda-min", "0.1", "--lambda-max", "1000",
+         "--num", "24"),
+    ],
+)
+def test_grid_ends_exactly_at_its_upper_flag(capsys, argv):
+    # 0.1 + 23 * ((1000 - 0.1) / 23) rounds to 1000.0000000000001
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 24
+    assert float(rows[0].split(",")[0]) == 0.1
+    assert float(rows[-1].split(",")[0]) == 1000.0
+
+
 def test_kernel_rejects_bad_order(capsys):
     code, out = run_cli(capsys, "kernel", "--ell", "9", "--x", "1.0")
     assert code == 2

@@ -153,6 +153,8 @@ def _term_by_term_closed(ell, x):
     return total / (math.pi * 2.0 ** (2 * ell - 2))
 
 
+# From order 5 on the float sum of the p/q terms itself rounds, by far
+# more than k_closed's error estimate, so it stops being a reference.
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_closed_form_matches_term_by_term_sum(ell):
     for i in range(12):

@@ -1,5 +1,6 @@
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,45 @@ def test_no_module_imports_numpy():
     # one eigensolver: the Jacobi module and its sweep cap are gone
     assert [p.name for p in sources if "jacobi" in p.name] == []
     assert not hasattr(operators, "_JACOBI_MAX_SWEEPS")
+
+
+def _names_used(node):
+    """Every name ``node`` reads: plain names, attributes and the names
+    of ``from ... import`` statements."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.ImportFrom):
+            yield from (alias.name for alias in child.names)
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a private module-level function that only the tests call is dead
+    # weight in the package; its own body (recursion) does not count
+    package = Path(hankel_spectra.__file__).parent
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert trees
+    helpers = [
+        (name, node)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+    assert helpers
+    uses = Counter(name for tree in trees.values() for name in _names_used(tree))
+    unused = [
+        f"{module}:{node.name}"
+        for module, node in helpers
+        if uses[node.name] == Counter(_names_used(node))[node.name]
+    ]
+    assert unused == []
 
 
 # Every public function with an integer argument, called with that

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from hankel_spectra.specfun import (
     EULER_GAMMA,
     SINC_ORDER_MAX,
+    _gaussian_power,
     damped_moment_shifted,
     damped_trig_moment,
     e1,
@@ -274,6 +275,16 @@ def test_damped_moment_shifted_rejects_nonpositive_shift():
         damped_moment_shifted(0, 1.0, -2.0)
     with pytest.raises(ValueError):
         damped_moment_shifted(0, 1.0, 0.0)
+
+
+def test_gaussian_power_is_the_scaled_eighth_turn():
+    # (1+i)^r = 2^(r/2) e^(i r pi/4); every part is an integer, so the
+    # rounded float reference is exact while 2^(r/2) stays far below 2^53
+    for r in range(41):
+        re, im = _gaussian_power(r)
+        assert type(re) is int and type(im) is int
+        assert re == round(2 ** (r / 2) * math.cos(r * math.pi / 4)), r
+        assert im == round(2 ** (r / 2) * math.sin(r * math.pi / 4)), r
 
 
 def test_damped_trig_moment_frozen():
