@@ -12,12 +12,16 @@ Computations*, 8.3) in plain Python on lists of rows.
 not the whole truncation. Entry (row, col) vanishes unless row + col + l
 is even, so after the permutation that lists even coordinates first the
 truncation is block diagonal for even l (two half-size solves), and for
-odd l it is [[0, U], [U, 0]] with U = entries[0::2, 1::2], whose
-eigenvalues are +/- those of U (one half-size solve, and the spectrum is
-exactly symmetric under negation). U is square only for even N; at odd
-N and odd l it is (k + 1) x k, and the one half-size route left, the
-square roots of eig(U^T U), squares the singular values and loses the
-small ones, so that case keeps the full-matrix solve.
+odd l it is [[0, U], [U^T, 0]] with U = entries[0::2, 1::2], whose
+eigenvalues are +/- the singular values of U, plus one 0 at odd N, so
+the spectrum is exactly symmetric under negation. At even N, U is
+square and symmetric, and one half-size ``symm_eigen`` solve gives them.
+At odd N = 2k + 1, U is (k + 1) x k: Golub-Kahan bidiagonalization
+(``_bidiagonalize``, Golub & Van Loan 5.4.8) turns [[0, U], [U^T, 0]]
+into a size-2k tridiagonal with zero diagonal and eigenvalues +/- sigma,
+which the same QL core solves. Unlike the square roots of eig(U^T U),
+that route does not square the singular values, so the small ones keep
+their absolute accuracy.
 
 Every matrix built here depends only on row + col, so it is stored as its
 2N - 1 anti-diagonal values, the lists ``spectral.truncation_values`` and
@@ -74,11 +78,13 @@ SpectrumReport = namedtuple(
 )
 
 
-def _hankel_rows(values, k):
-    """The k x k matrix with entry (row, col) = values[row + col], as a
-    tuple of row tuples sharing the floats of ``values``."""
+def _hankel_rows(values, k, cols=None):
+    """The k x cols matrix (square by default) with entry (row, col) =
+    values[row + col], as a tuple of row tuples sharing the floats of
+    ``values``."""
     values = tuple(values)
-    return tuple(values[row : row + k] for row in range(k))
+    cols = k if cols is None else cols
+    return tuple(values[row : row + cols] for row in range(k))
 
 
 def hankel_truncation(ell, n):
@@ -119,6 +125,23 @@ def alternating_signs(n):
     return tuple(-1.0 if i % 2 else 1.0 for i in range(n))
 
 
+def _reflector(x):
+    """The Householder reflection I - u u^T / h that takes x onto its last
+    coordinate, as (u, h, beta) with beta that coordinate's new value, or
+    None when x is zero. x is first divided by the sum of its magnitudes,
+    as in EISPACK tred1, so the squares neither overflow nor underflow."""
+    scale = sum(map(abs, x))
+    if scale == 0.0:
+        return None
+    u = [v / scale for v in x]
+    h = sum(map(mul, u, u))
+    f = u[-1]
+    g = -math.copysign(math.sqrt(h), f)
+    h -= f * g
+    u[-1] = f - g
+    return u, h, scale * g
+
+
 def _tridiagonalize(low):
     """Householder reduction (EISPACK tred1) of a symmetric matrix given
     by its lower triangle, row j holding entries 0..j; ``low`` is
@@ -137,17 +160,10 @@ def _tridiagonalize(low):
     for i in range(n - 1, 0, -1):
         row = low[i]
         d[i] = row[i]
-        x = row[:i]
-        scale = sum(map(abs, x))
-        if scale == 0.0:
+        reflection = _reflector(row[:i])
+        if reflection is None:
             continue
-        u = [v / scale for v in x]
-        h = sum(map(mul, u, u))
-        f = u[-1]
-        g = -math.copysign(math.sqrt(h), f)
-        e[i] = scale * g
-        h -= f * g
-        u[-1] = f - g
+        u, h, e[i] = reflection
         block = low[:i]
         columns = zip_longest(*block, fillvalue=0.0)
         p = [
@@ -162,6 +178,44 @@ def _tridiagonalize(low):
             low[j] = [v - uj * qk - qj * uk for v, qk, uk in zip(low[j], q, u)]
     d[0] = low[0][0]
     return d, e
+
+
+def _bidiagonalize(rows):
+    """Golub-Kahan bidiagonalization (Golub & Van Loan, 5.4.8) of an
+    (n + 1) x n matrix given by its rows. Returns the 2n - 1 couplings
+    d0, f0, d1, ..., d(n-1) of B = Q^T A P, which is zero in row 0 and
+    has B[i + 1][i] = d_i and B[i + 2][i] = f_i; they couple, in order,
+    the chain r1 c0 r2 c1 ... rn c(n-1) of [[0, B], [B^T, 0]], so the
+    zero-diagonal tridiagonal with those couplings has eigenvalues
+    +/- the singular values of A.
+
+    Step c reflects column c, rows 0..c + 1, onto row c + 1, then row
+    c + 1, columns 0..c - 1, onto column c - 1, both with ``_reflector``
+    (a zero vector is left as it is). Both reflections reach the rows
+    above c + 1 in one pass, A -= u p^T + q w^T with p = A^T u / h the
+    left one's row product and q the right one's column product taken
+    after it.
+    """
+    a = [list(row) for row in rows]
+    couplings = []
+    for c in range(len(a) - 2, -1, -1):
+        x = [row.pop() for row in a]  # column c; the rows keep columns 0..c-1
+        u, h, d = _reflector(x) or ([0.0] * len(x), 1.0, 0.0)
+        couplings.append(d)
+        if c == 0:
+            break
+        p = [sum(map(mul, u, col)) / h for col in zip(*a)]
+        uc = u.pop()
+        y = [v - uc * pj for v, pj in zip(a.pop(), p)]  # row c + 1
+        w, g, f = _reflector(y) or ([0.0] * c, 1.0, 0.0)
+        couplings.append(f)
+        pw = sum(map(mul, p, w))
+        q = [(sum(map(mul, row, w)) - ui * pw) / g for ui, row in zip(u, a)]
+        a = [
+            [v - ui * pj - qi * wj for v, pj, wj in zip(row, p, w)]
+            for ui, qi, row in zip(u, q, a)
+        ]
+    return couplings[::-1]
 
 
 def _tridiagonal_eigenvalues(d, e):
@@ -257,7 +311,7 @@ def symm_eigen(matrix):
 
 def _truncation_eigenvalues(ell, n):
     """Ascending eigenvalues of the order-ell, size-n truncation, solved
-    through its parity blocks where they are square."""
+    through its parity blocks."""
     values = truncation_values(ell, n)
     if ell % 2 == 0:
         half = (n + 1) // 2
@@ -268,7 +322,19 @@ def _truncation_eigenvalues(ell, n):
     if n % 2 == 0:
         half = symm_eigen(_hankel_rows(values[1::2], n // 2))
         return array("d", sorted([*half, *(-v for v in half)]))
-    return symm_eigen(_hankel_rows(values, n))
+    # U is (k + 1) x k: its singular values come from the size-2k
+    # zero-diagonal tridiagonal of its bidiagonal form, whose eigenvalues
+    # pair up as +/- sigma. In chain order the couplings grow from
+    # rounding noise to about the largest sigma, the grading QL suits;
+    # on the reversed chain QL stops converging from N = 39 (ell 7) to
+    # N = 57 (ell 1) on.
+    k = n // 2
+    couplings = _bidiagonalize(_hankel_rows(values[1::2], k + 1, k))
+    pm = sorted(_tridiagonal_eigenvalues([0.0] * (2 * k), [0.0, *couplings]))
+    # each sigma from its pair, so sigma >= 0 and ascending however the
+    # pair's rounding falls
+    sigma = [(plus - minus) / 2.0 for minus, plus in zip(reversed(pm[:k]), pm[k:])]
+    return array("d", [*(-s for s in reversed(sigma)), 0.0, *sigma])
 
 
 def spectrum_report(ell, n):
@@ -277,10 +343,11 @@ def spectrum_report(ell, n):
     clipped to [-0.95, 0.95].
 
     The eigenvalues come from the parity blocks (see the module
-    docstring): two solves of sizes ceil(N/2) and floor(N/2) for even ell,
-    one solve of size N/2 for odd ell at even N, whose spectrum is then
-    exactly symmetric (v[i] == -v[N-1-i]), and the full N x N solve for
-    odd ell at odd N, where the off-diagonal block is not square.
+    docstring): two solves of sizes ceil(N/2) and floor(N/2) for even ell;
+    for odd ell, one solve of size N/2 at even N, and at odd N = 2k + 1
+    the singular values of the (k + 1) x k off-diagonal block, through
+    its bidiagonal form and a size-2k tridiagonal. The odd-ell spectrum is
+    exactly symmetric (v[i] == -v[N-1-i]), with v[k] == 0.0 at odd N.
     """
     ell = _check_int("spectrum_report", "ell", ell, 0, L_MAX)
     n = _check_int("spectrum_report", "n", n, 1, _MAX_SIZE)

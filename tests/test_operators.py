@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hankel_spectra import operators as op
 from hankel_spectra import spectral
@@ -443,8 +443,11 @@ def test_spectrum_report_is_deterministic():
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
-@pytest.mark.parametrize("ell", range(9))
+@pytest.mark.parametrize(
+    "ell, n",
+    [(ell, n) for ell in range(9) for n in (1, 2, 3, 8, 33, 64)]
+    + [(ell, n) for ell in (1, 3, 5, 7) for n in (45, 91)],
+)
 def test_spectrum_report_blocks_match_the_full_solve(ell, n):
     # the full-matrix solve and LAPACK stay the oracles for the
     # parity-block path
@@ -455,31 +458,58 @@ def test_spectrum_report_blocks_match_the_full_solve(ell, n):
     full = np.sort(op.symm_eigen(entries))
     assert np.max(np.abs(values - full)) < 1e-13
     assert np.max(np.abs(values - np.linalg.eigvalsh(entries))) < 1e-13
-    if ell % 2 == 1 and n % 2 == 0:
+    if ell % 2 == 1:
         assert np.array_equal(values, -values[::-1])
+        if n % 2 == 1:
+            assert values[n // 2] == 0.0
 
 
 @pytest.mark.parametrize(
     "ell, n, shapes",
     [
-        (0, 64, [(32, 32), (32, 32)]),
-        (1, 64, [(32, 32)]),
-        (0, 33, [(17, 17), (16, 16)]),
-        (1, 33, [(33, 33)]),
-        (2, 1, [(1, 1)]),
+        (0, 64, [("symm_eigen", (32, 32)), ("symm_eigen", (32, 32))]),
+        (1, 64, [("symm_eigen", (32, 32))]),
+        (0, 33, [("symm_eigen", (17, 17)), ("symm_eigen", (16, 16))]),
+        (1, 33, [("_bidiagonalize", (17, 16))]),
+        (2, 1, [("symm_eigen", (1, 1))]),
     ],
 )
 def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
     solved = []
-    solve = op.symm_eigen
+    for name in ("symm_eigen", "_bidiagonalize"):
+        solve = getattr(op, name)
 
-    def recording(matrix):
-        solved.append(np.shape(matrix))
-        return solve(matrix)
+        def recording(matrix, name=name, solve=solve):
+            solved.append((name, np.shape(matrix)))
+            return solve(matrix)
 
-    monkeypatch.setattr(op, "symm_eigen", recording)
+        monkeypatch.setattr(op, name, recording)
     op.spectrum_report(ell, n)
     assert solved == shapes
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+    k=st.integers(min_value=0, max_value=30),
+    blank=st.booleans(),
+)
+@example(seed=0, k=0, blank=False)
+@example(seed=1, k=5, blank=True)
+@settings(max_examples=60, deadline=None)
+def test_bidiagonalize_then_ql_gives_the_singular_values(seed, k, blank):
+    # blank zeroes the last column, and the last row, so that both the
+    # left and the right reflection of the first step meet a zero vector
+    a = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(k + 1, k))
+    if blank and k:
+        a[:, -1] = 0.0
+        a[-1, :] = 0.0
+    couplings = op._bidiagonalize(a.tolist())
+    assert len(couplings) == max(2 * k - 1, 0)
+    got = sorted(op._tridiagonal_eigenvalues([0.0] * (2 * k), [0.0, *couplings]))
+    sigma = np.linalg.svd(a, compute_uv=False)
+    want = np.sort(np.concatenate([-sigma, sigma]))
+    tolerance = 1e-13 * max([1.0, *sigma])
+    assert np.max(np.abs(np.array(got) - want), initial=0.0) <= tolerance
 
 
 @pytest.mark.parametrize("p", [0.5, -0.5])
