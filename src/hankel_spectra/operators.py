@@ -11,11 +11,22 @@ Computations*, 8.3) in plain Python on lists of rows.
 ``spectrum_report`` solves the parity blocks that the certificates prove,
 not the whole truncation. Entry (row, col) vanishes unless row + col + l
 is even, so after the permutation that lists even coordinates first the
-truncation is block diagonal for even l (two half-size solves), and for
+truncation is block diagonal for even l (two half-size blocks), and for
 odd l it is [[0, U], [U^T, 0]] with U = entries[0::2, 1::2], whose
 eigenvalues are +/- the singular values of U, plus one 0 at odd N, so
 the spectrum is exactly symmetric under negation. At even N, U is
-square and symmetric, and one half-size ``symm_eigen`` solve gives them.
+square and symmetric, and its eigenvalues and their negatives give them.
+
+Each square block (both of an even order, U of an odd order at even N)
+is, conjugated by the sign checkerboard and by its ``block_parameters``
+sign, the positive definite Cauchy matrix H_p / pi, whose numerical rank
+grows only like log N (21 at size 128, 31 at 2048).
+``_square_block_eigenvalues`` factors it by diagonally pivoted Cholesky,
+stopped at rounding level, and solves the r x r Gram matrix of the
+factor with ``symm_eigen``: O(N r^2) instead of O(N^3), with the other
+eigenvalues exact zeros and the discarded trace bounding every miss. A
+block that is not positive semidefinite raises ArithmeticError.
+
 At odd N = 2k + 1, U is (k + 1) x k: Golub-Kahan bidiagonalization
 (``_bidiagonalize``, Golub & Van Loan 5.4.8) turns [[0, U], [U^T, 0]]
 into a size-2k tridiagonal with zero diagonal and eigenvalues +/- sigma,
@@ -28,11 +39,11 @@ Every matrix built here depends only on row + col, so it is stored as its
 ``spectral.hilbert_type_values`` give, and one builder, ``_hankel_rows``,
 turns them into a tuple of row tuples: row i is values[i : i + N], so
 entries[i][j] is value i + j and every row shares the same 2N - 1 float
-objects. ``spectrum_report`` builds its blocks the same way (the (even,
-even) block is the Hankel matrix of values[0::2], U that of
-values[1::2]). A size-N matrix costs N^2 row pointers, about 134 MB at
-the size cap; any dense use of it (``symm_eigen``, ``numpy.asarray``)
-builds at least that much.
+objects. ``spectrum_report`` builds rows only for U at odd N, the
+(k + 1) x k Hankel matrix of values[1::2]; the square blocks' factor
+reads the values directly and holds N x r floats. A size-N matrix costs
+N^2 row pointers, about 134 MB at the size cap; any dense use of it
+(``symm_eigen``, ``numpy.asarray``) builds at least that much.
 
 The three records are ``collections.namedtuple`` types whose fields are
 numbers, bools and tuples (``SpectrumReport`` holds its eigenvalues as
@@ -46,9 +57,10 @@ coefficients live in ``spectral`` and are re-exported here.
 """
 
 import math
+import sys
 from array import array
 from collections import namedtuple
-from itertools import chain, zip_longest
+from itertools import chain, cycle, zip_longest
 from operator import mul, sub
 
 from .specfun import L_MAX, _check_finite, _check_int
@@ -64,6 +76,10 @@ from .spectral import (  # the certificate and the coefficients are re-exported
 
 # QL iterations allowed per eigenvalue, as in EISPACK
 _QL_MAX_ITERATIONS = 30
+
+# largest relative miss of a parity block's Frobenius check: valid blocks
+# up to the size cap miss by at most 5e-15
+_FROBENIUS_TOLERANCE = 1e-10
 
 
 # ell and size ints, entries the (size, size) Hankel matrix as row tuples
@@ -309,19 +325,90 @@ def symm_eigen(matrix):
     return array("d", sorted(_tridiagonal_eigenvalues(d, e)))
 
 
+def _square_block_eigenvalues(values, rows, sign):
+    """Eigenvalues, unsorted, of the rows x rows Hankel block with
+    anti-diagonal values ``values[:2 rows - 1]``, and the Weyl bound on
+    their miss, for a block that ``sign`` and the checkerboard conjugate
+    to a positive semidefinite one (``block_parameters``).
+
+    The conjugate, a_s = sign (-1)^s values[s], is A = (1/pi) H_p, a
+    positive definite Cauchy matrix of numerical rank O(log N log 1/eps)
+    (Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38, 2017).
+    Diagonally pivoted Cholesky (Harbrecht, Peters & Schneider, Appl.
+    Numer. Math. 62, 2012) factors A = L L^T + S: each step pivots on the
+    largest remaining diagonal j, and L's new column is a[j : j + rows]
+    minus the dots of L's rows with row j. It stops once that diagonal is
+    at most eps times A's largest, at rank r. The r nonzero eigenvalues
+    are those of the r x r Gram matrix L^T L (``symm_eigen``); the other
+    rows - r are exact 0.0. The remainder S is positive semidefinite, so
+    by Weyl's inequality no eigenvalue misses by more than its trace, the
+    sum of the remaining diagonals, returned as the bound.
+
+    A block that is not positive semidefinite leaves an indefinite
+    remainder, or blows up the factor, and raises ArithmeticError. Two
+    O(N) checks see it: sum theta^2 must match ||A||_F^2 = sum_s mult(s)
+    a_s^2 over the anti-diagonal values, and no remaining diagonal may
+    fall below the rounding of its r updates. The second catches what
+    the first cannot: a flipped corner value a_(2 rows - 2), which keeps
+    ||A||_F and leaves L untouched.
+    """
+    a = list(map(mul, values[: 2 * rows - 1], cycle((sign, -sign))))
+    residual = a[0::2]
+    stop = sys.float_info.epsilon * max(residual)
+    factor = [[] for _ in range(rows)]  # the rows of L
+    pivots = []
+    while True:
+        pivot = max(range(rows), key=residual.__getitem__)
+        diagonal = residual[pivot]
+        if diagonal <= stop:
+            break
+        root = math.sqrt(diagonal)
+        above = factor[pivot]
+        column = [
+            (v - sum(map(mul, row, above))) / root
+            for v, row in zip(a[pivot : pivot + rows], factor)
+        ]
+        for done in pivots:
+            column[done] = 0.0
+        pivots.append(pivot)
+        residual = list(map(sub, residual, map(mul, column, column)))
+        residual[pivot] = 0.0
+        for row, c in zip(factor, column):
+            row.append(c)
+    columns = list(zip(*factor))
+    gram = [[sum(map(mul, x, y)) for y in columns] for x in columns]
+    theta = symm_eigen(gram) if gram else ()
+    # min(s + 1, 2 rows - 1 - s) entries lie on anti-diagonal s
+    multiplicities = chain(range(1, rows), range(rows, 0, -1))
+    frobenius = sum(map(mul, multiplicities, map(mul, a, a)))
+    miss = abs(sum(map(mul, theta, theta)) - frobenius)
+    lowest = min(residual)
+    if miss > _FROBENIUS_TOLERANCE * frobenius or lowest < -len(pivots) * stop:
+        raise ArithmeticError(
+            f"spectrum_report: a size-{rows} parity block is not positive "
+            f"semidefinite after conjugation (relative Frobenius miss "
+            f"{miss / frobenius:.3e}, lowest remaining diagonal {lowest:.3e})"
+        )
+    eigenvalues = [sign * t for t in theta] + [0.0] * (rows - len(theta))
+    return eigenvalues, sum(map(abs, residual))
+
+
 def _truncation_eigenvalues(ell, n):
     """Ascending eigenvalues of the order-ell, size-n truncation, solved
     through its parity blocks."""
     values = truncation_values(ell, n)
+    (sign, _), (other_sign, _) = block_parameters(ell)
     if ell % 2 == 0:
         half = (n + 1) // 2
-        eigenvalues = list(symm_eigen(_hankel_rows(values[0::2], half)))
+        eigenvalues, _ = _square_block_eigenvalues(values[0::2], half, sign)
         if n > 1:
-            eigenvalues += symm_eigen(_hankel_rows(values[2::2], n - half))
+            odd, _ = _square_block_eigenvalues(values[2::2], n - half, other_sign)
+            eigenvalues += odd
         return array("d", sorted(eigenvalues))
     if n % 2 == 0:
-        half = symm_eigen(_hankel_rows(values[1::2], n // 2))
-        return array("d", sorted([*half, *(-v for v in half)]))
+        # 0.0 - v, not -v, keeps the exact zeros from turning into -0.0
+        half, _ = _square_block_eigenvalues(values[1::2], n // 2, sign)
+        return array("d", sorted([*half, *(0.0 - v for v in half)]))
     # U is (k + 1) x k: its singular values come from the size-2k
     # zero-diagonal tridiagonal of its bidiagonal form, whose eigenvalues
     # pair up as +/- sigma. In chain order the couplings grow from
@@ -334,7 +421,7 @@ def _truncation_eigenvalues(ell, n):
     # each sigma from its pair, so sigma >= 0 and ascending however the
     # pair's rounding falls
     sigma = [(plus - minus) / 2.0 for minus, plus in zip(reversed(pm[:k]), pm[k:])]
-    return array("d", [*(-s for s in reversed(sigma)), 0.0, *sigma])
+    return array("d", [*(0.0 - s for s in reversed(sigma)), 0.0, *sigma])
 
 
 def spectrum_report(ell, n):
@@ -343,11 +430,16 @@ def spectrum_report(ell, n):
     clipped to [-0.95, 0.95].
 
     The eigenvalues come from the parity blocks (see the module
-    docstring): two solves of sizes ceil(N/2) and floor(N/2) for even ell;
-    for odd ell, one solve of size N/2 at even N, and at odd N = 2k + 1
-    the singular values of the (k + 1) x k off-diagonal block, through
-    its bidiagonal form and a size-2k tridiagonal. The odd-ell spectrum is
-    exactly symmetric (v[i] == -v[N-1-i]), with v[k] == 0.0 at odd N.
+    docstring): for even ell, the two square blocks of sizes ceil(N/2)
+    and floor(N/2); for odd ell, the square block U of size N/2 and its
+    negation at even N, and at odd N = 2k + 1 the singular values of the
+    (k + 1) x k block U, through its bidiagonal form and a size-2k
+    tridiagonal. Each square block is a pivoted Cholesky factor of rank
+    r (at most 31 up to the size cap) and one r x r ``symm_eigen`` solve;
+    its other eigenvalues are exact zeros, printed as 0.0, never -0.0. A
+    square block that is not positive semidefinite after conjugation
+    raises ArithmeticError. The odd-ell spectrum is exactly symmetric
+    (v[i] == -v[N-1-i]), with v[k] == 0.0 at odd N.
     """
     ell = _check_int("spectrum_report", "ell", ell, 0, L_MAX)
     n = _check_int("spectrum_report", "n", n, 1, _MAX_SIZE)

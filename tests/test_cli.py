@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -171,6 +172,48 @@ def test_spectrum_rejects_oversized_request(capsys):
     code, out = run_cli(capsys, "spectrum", "--ell", "0", "--size", "4097")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_prints_no_negative_zero(capsys, fmt):
+    # odd order at even N negates U's spectrum, exact zeros included
+    code, out = run_cli(capsys, "spectrum", "--ell", "1", "--size", "128", "--format", fmt)
+    assert code == 0
+    assert re.search(r"(?<![-\d.])0\.0(?!\d)", out)
+    assert not re.search(r"-0\.0(?!\d)", out)
+
+
+def test_spectrum_of_an_indefinite_block_exits_three(monkeypatch, capsys):
+    from hankel_spectra import operators, spectral
+
+    def flipped(ell, n):
+        values = spectral.truncation_values(ell, n)
+        values[21] = -values[21]
+        return values
+
+    monkeypatch.setattr(operators, "truncation_values", flipped)
+    code = cli.main(["spectrum", "--ell", "3", "--size", "64"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "not positive semidefinite" in captured.err
+
+
+@pytest.mark.parametrize("ell", [0, 3])
+def test_spectrum_at_the_size_cap_runs_in_seconds(ell):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "hankel_spectra", "spectrum", "--ell", str(ell), "--size", "4096"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    rows = result.stdout.splitlines()[1:-1]
+    assert len(rows) == 4096
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
 
 def test_blocks_applies_the_size_cap_to_twice_the_size(capsys):

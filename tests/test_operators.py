@@ -467,25 +467,96 @@ def test_spectrum_report_blocks_match_the_full_solve(ell, n):
 @pytest.mark.parametrize(
     "ell, n, shapes",
     [
-        (0, 64, [("symm_eigen", (32, 32)), ("symm_eigen", (32, 32))]),
-        (1, 64, [("symm_eigen", (32, 32))]),
-        (0, 33, [("symm_eigen", (17, 17)), ("symm_eigen", (16, 16))]),
+        (0, 64, [("_square_block_eigenvalues", 32), ("_square_block_eigenvalues", 32)]),
+        (1, 64, [("_square_block_eigenvalues", 32)]),
+        (0, 33, [("_square_block_eigenvalues", 17), ("_square_block_eigenvalues", 16)]),
         (1, 33, [("_bidiagonalize", (17, 16))]),
-        (2, 1, [("symm_eigen", (1, 1))]),
+        (2, 1, [("_square_block_eigenvalues", 1)]),
+        (0, 1024, [("_square_block_eigenvalues", 512), ("_square_block_eigenvalues", 512)]),
+        (3, 1024, [("_square_block_eigenvalues", 512)]),
     ],
 )
 def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
-    solved = []
-    for name in ("symm_eigen", "_bidiagonalize"):
+    # one pivoted factor per square block, whose r x r Gram core is its
+    # only symm_eigen solve; odd order at odd N bidiagonalizes U
+    calls = []
+    for name, shape in (
+        ("_square_block_eigenvalues", lambda values, rows, sign: rows),
+        ("_bidiagonalize", np.shape),
+        ("symm_eigen", np.shape),
+    ):
         solve = getattr(op, name)
 
-        def recording(matrix, name=name, solve=solve):
-            solved.append((name, np.shape(matrix)))
-            return solve(matrix)
+        def recording(*args, name=name, shape=shape, solve=solve):
+            calls.append((name, shape(*args)))
+            return solve(*args)
 
         monkeypatch.setattr(op, name, recording)
     op.spectrum_report(ell, n)
-    assert solved == shapes
+    assert [call for call in calls if call[0] != "symm_eigen"] == shapes
+    cores = [shape for name, shape in calls if name == "symm_eigen"]
+    assert len(cores) == sum(name == "_square_block_eigenvalues" for name, _ in calls)
+    for (name, rows), (following, core) in zip(calls, calls[1:]):
+        if name == "_square_block_eigenvalues":
+            assert following == "symm_eigen"
+            assert core[0] == core[1] <= min(rows, 25)
+
+
+def _square_blocks(ell, n):
+    """(values, rows, sign) of the square parity blocks of the order-ell,
+    size-n truncation, as ``spectrum_report`` solves them (n even for odd
+    ell)."""
+    values = spectral.truncation_values(ell, n)
+    (sign, _), (other_sign, _) = spectral.block_parameters(ell)
+    if ell % 2:
+        return [(values[1::2], n // 2, sign)]
+    half = (n + 1) // 2
+    return [(values[0::2], half, sign), (values[2::2], n - half, other_sign)]
+
+
+@pytest.mark.parametrize("n", [127, 128, 255, 256, 512])
+def test_spectrum_report_matches_lapack(n):
+    for ell in range(9):
+        values = np.asarray(op.spectrum_report(ell, n).eigenvalues)
+        want = np.linalg.eigvalsh(op.hankel_truncation(ell, n).entries)
+        assert np.max(np.abs(values - want)) < 1e-13, ell
+
+
+@pytest.mark.parametrize("ell, n", [(0, 512), (3, 512), (0, 4096), (3, 4096)])
+def test_square_block_misses_stay_within_the_discarded_trace(ell, n):
+    # Weyl: the discarded remainder is positive semidefinite, so its trace
+    # bounds every eigenvalue's miss; the Gram core's QL and LAPACK each
+    # add rounding of about an ulp of the largest eigenvalue
+    for values, rows, sign in _square_blocks(ell, n):
+        got, bound = op._square_block_eigenvalues(values, rows, sign)
+        block = np.array(op._hankel_rows(values, rows))
+        want = np.linalg.eigvalsh(block)
+        miss = np.max(np.abs(np.sort(got) - want))
+        top = np.max(np.abs(want))
+        assert 0.0 <= bound < 1e-13 * top
+        assert miss <= bound + 4.0 * np.finfo(float).eps * top
+        assert got.count(0.0) >= rows - 31
+
+
+def test_spectrum_report_has_no_negative_zeros():
+    for ell in range(9):
+        for n in range(1, 65):
+            values = op.spectrum_report(ell, n).eigenvalues
+            assert all(math.copysign(1.0, v) > 0.0 for v in values if v == 0.0), (ell, n)
+
+
+@pytest.mark.parametrize("ell, n, index", [(0, 64, 20), (0, 64, 124), (3, 64, 21), (3, 64, 125)])
+def test_a_flipped_block_value_is_a_numerical_failure(monkeypatch, ell, n, index):
+    # index 124 and 125 are the corner value a_(2 rows - 2) of the first
+    # block, whose flip keeps the Frobenius norm
+    def flipped(ell, n, truncation_values=spectral.truncation_values):
+        values = truncation_values(ell, n)
+        values[index] = -values[index]
+        return values
+
+    monkeypatch.setattr(op, "truncation_values", flipped)
+    with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+        op.spectrum_report(ell, n)
 
 
 @given(
