@@ -21,11 +21,11 @@ Each square block (both of an even order, U of an odd order at even N)
 is, conjugated by the sign checkerboard and by its ``block_parameters``
 sign, the positive definite Cauchy matrix H_p / pi, whose numerical rank
 grows only like log N (21 at size 128, 31 at 2048).
-``_square_block_eigenvalues`` factors it by diagonally pivoted Cholesky,
-stopped at rounding level, and solves the r x r Gram matrix of the
-factor with ``symm_eigen``: O(N r^2) instead of O(N^3), with the other
-eigenvalues exact zeros and the discarded trace bounding every miss. A
-block that is not positive semidefinite raises ArithmeticError.
+``_square_block_eigenvalues`` factors that model by diagonally pivoted
+Cholesky from its Cauchy generators, O(N) a step, and solves the r x r
+Gram matrix of the factor with the QL core; the other eigenvalues are
+exact zeros. The values enter only through the certificate's O(N) check
+against the model, which raises ArithmeticError on a miss.
 
 At odd N = 2k + 1, U is (k + 1) x k: Golub-Kahan bidiagonalization
 (``_bidiagonalize``, Golub & Van Loan 5.4.8) turns [[0, U], [U^T, 0]]
@@ -41,9 +41,9 @@ turns them into a tuple of row tuples: row i is values[i : i + N], so
 entries[i][j] is value i + j and every row shares the same 2N - 1 float
 objects. ``spectrum_report`` builds rows only for U at odd N, the
 (k + 1) x k Hankel matrix of values[1::2]; the square blocks' factor
-reads the values directly and holds N x r floats. A size-N matrix costs
-N^2 row pointers, about 134 MB at the size cap; any dense use of it
-(``symm_eigen``, ``numpy.asarray``) builds at least that much.
+holds N x r floats. A size-N matrix costs N^2 row pointers, about 134 MB
+at the size cap; any dense use of it (``symm_eigen``, ``numpy.asarray``)
+builds at least that much.
 
 The three records are ``collections.namedtuple`` types whose fields are
 numbers, bools and tuples (``SpectrumReport`` holds its eigenvalues as
@@ -60,13 +60,14 @@ import math
 import sys
 from array import array
 from collections import namedtuple
-from itertools import chain, cycle, zip_longest
-from operator import mul, sub
+from itertools import chain, zip_longest
+from operator import mul, sub, truediv
 
 from .specfun import L_MAX, _check_finite, _check_int
 from .spectral import MAX_TRUNCATION_SIZE as _MAX_SIZE
 from .spectral import (  # the certificate and the coefficients are re-exported
     BlockCertificate,
+    _block_deviation,
     block_certificate,
     block_parameters,
     fourier_coefficient,
@@ -77,9 +78,9 @@ from .spectral import (  # the certificate and the coefficients are re-exported
 # QL iterations allowed per eigenvalue, as in EISPACK
 _QL_MAX_ITERATIONS = 30
 
-# largest relative miss of a parity block's Frobenius check: valid blocks
-# up to the size cap miss by at most 5e-15
-_FROBENIUS_TOLERANCE = 1e-10
+# largest miss of a conjugated parity block from (1/pi) H_p, relative to
+# its largest entry: valid blocks up to the size cap miss by 2e-16
+_MODEL_TOLERANCE = 1e-13
 
 
 # ell and size ints, entries the (size, size) Hankel matrix as row tuples
@@ -321,93 +322,88 @@ def symm_eigen(matrix):
     # the reversed matrix's lower triangle is the upper one read backwards
     low = [a[i][i:][::-1] for i in range(n - 1, -1, -1)]
     del a  # the solve holds one triangle of the matrix, not all of it
+    return _reversed_eigenvalues(low)
+
+
+def _reversed_eigenvalues(low):
+    """Ascending eigenvalues, as an array("d"), of a symmetric matrix
+    given by the lower triangle of the matrix with its order reversed
+    (row j holding entries 0..j); ``low`` is overwritten."""
     d, e = _tridiagonalize(low)
     return array("d", sorted(_tridiagonal_eigenvalues(d, e)))
 
 
-def _square_block_eigenvalues(values, rows, sign):
+def _square_block_eigenvalues(values, rows, sign, p):
     """Eigenvalues, unsorted, of the rows x rows Hankel block with
     anti-diagonal values ``values[:2 rows - 1]``, and the Weyl bound on
     their miss, for a block that ``sign`` and the checkerboard conjugate
-    to a positive semidefinite one (``block_parameters``).
+    to A = (1/pi) H_p (``block_parameters``).
 
-    The conjugate, a_s = sign (-1)^s values[s], is A = (1/pi) H_p, a
-    positive definite Cauchy matrix of numerical rank O(log N log 1/eps)
-    (Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38, 2017).
-    Diagonally pivoted Cholesky (Harbrecht, Peters & Schneider, Appl.
-    Numer. Math. 62, 2012) factors A = L L^T + S: each step pivots on the
-    largest remaining diagonal j, and L's new column is a[j : j + rows]
-    minus the dots of L's rows with row j. It stops once that diagonal is
-    at most eps times A's largest, at rank r. The r nonzero eigenvalues
-    are those of the r x r Gram matrix L^T L (``symm_eigen``); the other
-    rows - r are exact 0.0. The remainder S is positive semidefinite, so
-    by Weyl's inequality no eigenvalue misses by more than its trace, the
-    sum of the remaining diagonals, returned as the bound.
+    A is the Cauchy matrix g_i g_j / (x_i + x_j), x_i = i + (1 - p)/2 and
+    g_i = 1/sqrt(pi), of numerical rank O(log N log 1/eps) (Beckermann &
+    Townsend, SIAM J. Matrix Anal. Appl. 38, 2017). Diagonally pivoted
+    Cholesky (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012)
+    factors A = L L^T + S from the generators, not the values: pivot k,
+    the largest remaining diagonal d_k = g_k^2 / (2 x_k), adds the column
+    g_i g_k / ((x_i + x_k) sqrt(d_k)) to L, and the Schur complement is
+    Cauchy again, with g_i times (x_i - x_k) / (x_i + x_k), both exact
+    (Demmel, SIAM J. Matrix Anal. Appl. 21, 1999): a step costs O(rows)
+    and zeroes g_k exactly. It stops once d_k is at most eps times A's
+    largest entry, at rank r. The r nonzero eigenvalues are those of the
+    r x r Gram matrix L^T L; the other rows - r are exact 0.0.
 
-    A block that is not positive semidefinite leaves an indefinite
-    remainder, or blows up the factor, and raises ArithmeticError. Two
-    O(N) checks see it: sum theta^2 must match ||A||_F^2 = sum_s mult(s)
-    a_s^2 over the anti-diagonal values, and no remaining diagonal may
-    fall below the rounding of its r updates. The second catches what
-    the first cannot: a flipped corner value a_(2 rows - 2), which keeps
-    ||A||_F and leaves L untouched.
+    The values enter only through the certificate's formula,
+    ``_block_deviation``, which must find the conjugated block within
+    _MODEL_TOLERANCE of A, relative to A's largest entry, or
+    ArithmeticError is raised; it sees every flipped value, the corner
+    too. By Weyl's inequality the bound is the trace of the positive
+    semidefinite remainder S plus rows times that deviation.
     """
-    a = list(map(mul, values[: 2 * rows - 1], cycle((sign, -sign))))
-    residual = a[0::2]
-    stop = sys.float_info.epsilon * max(residual)
-    factor = [[] for _ in range(rows)]  # the rows of L
-    pivots = []
-    while True:
-        pivot = max(range(rows), key=residual.__getitem__)
-        diagonal = residual[pivot]
-        if diagonal <= stop:
-            break
-        root = math.sqrt(diagonal)
-        above = factor[pivot]
-        column = [
-            (v - sum(map(mul, row, above))) / root
-            for v, row in zip(a[pivot : pivot + rows], factor)
-        ]
-        for done in pivots:
-            column[done] = 0.0
-        pivots.append(pivot)
-        residual = list(map(sub, residual, map(mul, column, column)))
-        residual[pivot] = 0.0
-        for row, c in zip(factor, column):
-            row.append(c)
-    columns = list(zip(*factor))
-    gram = [[sum(map(mul, x, y)) for y in columns] for x in columns]
-    theta = symm_eigen(gram) if gram else ()
-    # min(s + 1, 2 rows - 1 - s) entries lie on anti-diagonal s
-    multiplicities = chain(range(1, rows), range(rows, 0, -1))
-    frobenius = sum(map(mul, multiplicities, map(mul, a, a)))
-    miss = abs(sum(map(mul, theta, theta)) - frobenius)
-    lowest = min(residual)
-    if miss > _FROBENIUS_TOLERANCE * frobenius or lowest < -len(pivots) * stop:
+    largest = 1.0 / (math.pi * (1.0 - p))  # A's first and largest entry
+    deviation = _block_deviation(values, sign, p, rows)
+    if not deviation <= _MODEL_TOLERANCE * largest:
         raise ArithmeticError(
             f"spectrum_report: a size-{rows} parity block is not positive "
-            f"semidefinite after conjugation (relative Frobenius miss "
-            f"{miss / frobenius:.3e}, lowest remaining diagonal {lowest:.3e})"
+            f"semidefinite (1/pi) H_p, p = {p:g}, after conjugation: it misses "
+            f"that model by {deviation:.3e}"
         )
+    sums = [i + 1.0 - p for i in range(rows)]  # x_i + x_0, exact
+    twice = [s + i for i, s in enumerate(sums)]  # 2 x_i
+    g = [1.0 / math.sqrt(math.pi)] * rows
+    columns = []  # of L
+    while True:
+        diagonal = list(map(truediv, map(mul, g, g), twice))
+        top = max(diagonal)
+        if top <= sys.float_info.epsilon * largest:
+            break
+        k = diagonal.index(top)
+        shifted = list(map(float(k).__add__, sums))  # x_i + x_k
+        columns.append(list(map(truediv, map((g[k] / math.sqrt(top)).__mul__, g), shifted)))
+        g = list(map(truediv, map(mul, g, range(-k, rows - k)), shifted))
+    # the Gram matrix's lower triangle, its order reversed as symm_eigen's
+    columns.reverse()
+    theta = _reversed_eigenvalues(
+        [[sum(map(mul, x, y)) for y in columns[: i + 1]] for i, x in enumerate(columns)]
+    )
     eigenvalues = [sign * t for t in theta] + [0.0] * (rows - len(theta))
-    return eigenvalues, sum(map(abs, residual))
+    return eigenvalues, sum(diagonal) + rows * deviation
 
 
 def _truncation_eigenvalues(ell, n):
     """Ascending eigenvalues of the order-ell, size-n truncation, solved
     through its parity blocks."""
     values = truncation_values(ell, n)
-    (sign, _), (other_sign, _) = block_parameters(ell)
+    (sign, p), (other_sign, other_p) = block_parameters(ell)
     if ell % 2 == 0:
         half = (n + 1) // 2
-        eigenvalues, _ = _square_block_eigenvalues(values[0::2], half, sign)
+        eigenvalues, _ = _square_block_eigenvalues(values[0::2], half, sign, p)
         if n > 1:
-            odd, _ = _square_block_eigenvalues(values[2::2], n - half, other_sign)
+            odd, _ = _square_block_eigenvalues(values[2::2], n - half, other_sign, other_p)
             eigenvalues += odd
         return array("d", sorted(eigenvalues))
     if n % 2 == 0:
         # 0.0 - v, not -v, keeps the exact zeros from turning into -0.0
-        half, _ = _square_block_eigenvalues(values[1::2], n // 2, sign)
+        half, _ = _square_block_eigenvalues(values[1::2], n // 2, sign, p)
         return array("d", sorted([*half, *(0.0 - v for v in half)]))
     # U is (k + 1) x k: its singular values come from the size-2k
     # zero-diagonal tridiagonal of its bidiagonal form, whose eigenvalues
@@ -435,10 +431,11 @@ def spectrum_report(ell, n):
     negation at even N, and at odd N = 2k + 1 the singular values of the
     (k + 1) x k block U, through its bidiagonal form and a size-2k
     tridiagonal. Each square block is a pivoted Cholesky factor of rank
-    r (at most 31 up to the size cap) and one r x r ``symm_eigen`` solve;
-    its other eigenvalues are exact zeros, printed as 0.0, never -0.0. A
-    square block that is not positive semidefinite after conjugation
-    raises ArithmeticError. The odd-ell spectrum is exactly symmetric
+    r (at most 31 up to the size cap), read from the generators of its
+    model (1/pi) H_p, and one r x r solve; its other eigenvalues are exact
+    zeros, printed as 0.0, never -0.0. The values enter only through the
+    certificate's check against that model: a block that misses it raises
+    ArithmeticError. The odd-ell spectrum is exactly symmetric
     (v[i] == -v[N-1-i]), with v[k] == 0.0 at odd N.
     """
     ell = _check_int("spectrum_report", "ell", ell, 0, L_MAX)

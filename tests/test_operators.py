@@ -477,12 +477,14 @@ def test_spectrum_report_blocks_match_the_full_solve(ell, n):
     ],
 )
 def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
-    # one pivoted factor per square block, whose r x r Gram core is its
-    # only symm_eigen solve; odd order at odd N bidiagonalizes U
+    # one pivoted factor per square block, whose r x r Gram core, given
+    # by one triangle, is its only eigensolve; symm_eigen never runs, and
+    # odd order at odd N bidiagonalizes U
     calls = []
     for name, shape in (
-        ("_square_block_eigenvalues", lambda values, rows, sign: rows),
+        ("_square_block_eigenvalues", lambda values, rows, sign, p: rows),
         ("_bidiagonalize", np.shape),
+        ("_reversed_eigenvalues", lambda low: (len(low), len(low[-1]))),
         ("symm_eigen", np.shape),
     ):
         solve = getattr(op, name)
@@ -493,25 +495,25 @@ def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
 
         monkeypatch.setattr(op, name, recording)
     op.spectrum_report(ell, n)
-    assert [call for call in calls if call[0] != "symm_eigen"] == shapes
-    cores = [shape for name, shape in calls if name == "symm_eigen"]
+    assert [call for call in calls if call[0] != "_reversed_eigenvalues"] == shapes
+    cores = [shape for name, shape in calls if name == "_reversed_eigenvalues"]
     assert len(cores) == sum(name == "_square_block_eigenvalues" for name, _ in calls)
     for (name, rows), (following, core) in zip(calls, calls[1:]):
         if name == "_square_block_eigenvalues":
-            assert following == "symm_eigen"
+            assert following == "_reversed_eigenvalues"
             assert core[0] == core[1] <= min(rows, 25)
 
 
 def _square_blocks(ell, n):
-    """(values, rows, sign) of the square parity blocks of the order-ell,
-    size-n truncation, as ``spectrum_report`` solves them (n even for odd
-    ell)."""
+    """(values, rows, sign, p) of the square parity blocks of the
+    order-ell, size-n truncation, as ``spectrum_report`` solves them (n
+    even for odd ell)."""
     values = spectral.truncation_values(ell, n)
-    (sign, _), (other_sign, _) = spectral.block_parameters(ell)
+    (sign, p), (other_sign, other_p) = spectral.block_parameters(ell)
     if ell % 2:
-        return [(values[1::2], n // 2, sign)]
+        return [(values[1::2], n // 2, sign, p)]
     half = (n + 1) // 2
-    return [(values[0::2], half, sign), (values[2::2], n - half, other_sign)]
+    return [(values[0::2], half, sign, p), (values[2::2], n - half, other_sign, other_p)]
 
 
 @pytest.mark.parametrize("n", [127, 128, 255, 256, 512])
@@ -527,8 +529,8 @@ def test_square_block_misses_stay_within_the_discarded_trace(ell, n):
     # Weyl: the discarded remainder is positive semidefinite, so its trace
     # bounds every eigenvalue's miss; the Gram core's QL and LAPACK each
     # add rounding of about an ulp of the largest eigenvalue
-    for values, rows, sign in _square_blocks(ell, n):
-        got, bound = op._square_block_eigenvalues(values, rows, sign)
+    for values, rows, sign, p in _square_blocks(ell, n):
+        got, bound = op._square_block_eigenvalues(values, rows, sign, p)
         block = np.array(op._hankel_rows(values, rows))
         want = np.linalg.eigvalsh(block)
         miss = np.max(np.abs(np.sort(got) - want))
@@ -536,6 +538,46 @@ def test_square_block_misses_stay_within_the_discarded_trace(ell, n):
         assert 0.0 <= bound < 1e-13 * top
         assert miss <= bound + 4.0 * np.finfo(float).eps * top
         assert got.count(0.0) >= rows - 31
+
+
+@pytest.mark.parametrize("ell, n", [(0, 48), (3, 48), (2, 41), (0, 64), (3, 64)])
+def test_square_block_factor_matches_an_exact_solve(ell, n):
+    # the factor reads the model (1/pi) H_p; 40 digits of its spectrum
+    # are the exact reference, up to the block's own deviation, which
+    # the returned bound covers
+    mpmath = pytest.importorskip("mpmath")
+    for values, rows, sign, p in _square_blocks(ell, n):
+        got, bound = op._square_block_eigenvalues(values, rows, sign, p)
+        with mpmath.workdps(40):
+            x = [i + (1 - mpmath.mpf(p)) / 2 for i in range(rows)]
+            model = mpmath.matrix([[1 / (mpmath.pi * (xi + xj)) for xj in x] for xi in x])
+            want = sorted(sign * float(v) for v in mpmath.eigsy(model, eigvals_only=True))
+        top = max(map(abs, want))
+        miss = max(abs(x - y) for x, y in zip(sorted(got), want))
+        assert miss <= bound + 4.0 * np.finfo(float).eps * top, (rows, miss, bound)
+
+
+def test_valid_blocks_sit_far_inside_the_model_guard():
+    # the guard's constant is at least 100 times the largest miss of a
+    # valid block from (1/pi) H_p, relative to its largest entry
+    for ell in range(9):
+        for n in (64, 1023, 1024, 4095, 4096):
+            if ell % 2 and n % 2:
+                continue  # U is not square, and the factor does not run
+            for values, rows, sign, p in _square_blocks(ell, n):
+                deviation = spectral._block_deviation(values, sign, p, rows)
+                assert 100.0 * deviation * math.pi * (1.0 - p) <= op._MODEL_TOLERANCE, (ell, n)
+
+
+@pytest.mark.parametrize("ell, n", [(0, 64), (3, 64), (2, 1023), (5, 4096)])
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_a_block_value_moved_by_1e_12_is_a_numerical_failure(ell, n, index, direction):
+    for values, rows, sign, p in _square_blocks(ell, n):
+        moved = list(values)
+        moved[index] *= 1.0 + direction * 1e-12
+        with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+            op._square_block_eigenvalues(moved, rows, sign, p)
 
 
 def test_spectrum_report_has_no_negative_zeros():
