@@ -17,33 +17,29 @@ eigenvalues are +/- the singular values of U, plus one 0 at odd N, so
 the spectrum is exactly symmetric under negation. At even N, U is
 square and symmetric, and its eigenvalues and their negatives give them.
 
-Each square block (both of an even order, U of an odd order at even N)
-is, conjugated by the sign checkerboard and by its ``block_parameters``
-sign, the positive definite Cauchy matrix H_p / pi, whose numerical rank
-grows only like log N (21 at size 128, 31 at 2048).
-``_square_block_eigenvalues`` factors that model by diagonally pivoted
-Cholesky from its Cauchy generators, O(N) a step, and solves the r x r
-Gram matrix of the factor with the QL core; the other eigenvalues are
-exact zeros. The values enter only through the certificate's O(N) check
-against the model, which raises ArithmeticError on a miss.
-
-At odd N = 2k + 1, U is (k + 1) x k: Golub-Kahan bidiagonalization
-(``_bidiagonalize``, Golub & Van Loan 5.4.8) turns [[0, U], [U^T, 0]]
-into a size-2k tridiagonal with zero diagonal and eigenvalues +/- sigma,
-which the same QL core solves. Unlike the square roots of eig(U^T U),
-that route does not square the singular values, so the small ones keep
-their absolute accuracy.
+Every parity block is, conjugated by the sign checkerboard and by its
+``block_parameters`` sign, the positive definite Cauchy matrix
+A = H_p / pi of size ceil(N/2) or floor(N/2), or, for U at odd
+N = 2k + 1, the first k columns of A of size k + 1. A's numerical rank
+grows only like log N (21 at size 128, 31 at 2048). ``_block_factor``
+factors A by diagonally pivoted Cholesky from its Cauchy generators,
+O(N) a step, so that A ~ L L^T with L of rank r. A square block's
+eigenvalues are those of the r x r Gram matrix L^T L, plus exact zeros.
+U ~ L M^T, M being L without its last row, has the singular values of
+an r x r product B of the R factors of L and M, and [[0, B], [B^T, 0]]
+gives +/- them without squaring them. One QL core solves both. The
+values enter only through the certificate's O(N) check against A, which
+raises ArithmeticError on a miss; the factor's discarded trace plus
+that miss bounds every value's error (Weyl).
 
 Every matrix built here depends only on row + col, so it is stored as its
 2N - 1 anti-diagonal values, the lists ``spectral.truncation_values`` and
 ``spectral.hilbert_type_values`` give, and one builder, ``_hankel_rows``,
 turns them into a tuple of row tuples: row i is values[i : i + N], so
 entries[i][j] is value i + j and every row shares the same 2N - 1 float
-objects. ``spectrum_report`` builds rows only for U at odd N, the
-(k + 1) x k Hankel matrix of values[1::2]; the square blocks' factor
-holds N x r floats. A size-N matrix costs N^2 row pointers, about 134 MB
-at the size cap; any dense use of it (``symm_eigen``, ``numpy.asarray``)
-builds at least that much.
+objects. ``spectrum_report`` builds no rows: a factor holds N r / 2
+floats, while a size-N matrix costs N^2 row pointers, about 134 MB at the
+cap, and any dense use of it (``symm_eigen``, ``numpy.asarray``) more.
 
 The three records are ``collections.namedtuple`` types whose fields are
 numbers, bools and tuples (``SpectrumReport`` holds its eigenvalues as
@@ -95,13 +91,11 @@ SpectrumReport = namedtuple(
 )
 
 
-def _hankel_rows(values, k, cols=None):
-    """The k x cols matrix (square by default) with entry (row, col) =
-    values[row + col], as a tuple of row tuples sharing the floats of
-    ``values``."""
+def _hankel_rows(values, n):
+    """The n x n matrix with entry (row, col) = values[row + col], as a
+    tuple of row tuples sharing the floats of ``values``."""
     values = tuple(values)
-    cols = k if cols is None else cols
-    return tuple(values[row : row + cols] for row in range(k))
+    return tuple(values[row : row + n] for row in range(n))
 
 
 def hankel_truncation(ell, n):
@@ -195,44 +189,6 @@ def _tridiagonalize(low):
             low[j] = [v - uj * qk - qj * uk for v, qk, uk in zip(low[j], q, u)]
     d[0] = low[0][0]
     return d, e
-
-
-def _bidiagonalize(rows):
-    """Golub-Kahan bidiagonalization (Golub & Van Loan, 5.4.8) of an
-    (n + 1) x n matrix given by its rows. Returns the 2n - 1 couplings
-    d0, f0, d1, ..., d(n-1) of B = Q^T A P, which is zero in row 0 and
-    has B[i + 1][i] = d_i and B[i + 2][i] = f_i; they couple, in order,
-    the chain r1 c0 r2 c1 ... rn c(n-1) of [[0, B], [B^T, 0]], so the
-    zero-diagonal tridiagonal with those couplings has eigenvalues
-    +/- the singular values of A.
-
-    Step c reflects column c, rows 0..c + 1, onto row c + 1, then row
-    c + 1, columns 0..c - 1, onto column c - 1, both with ``_reflector``
-    (a zero vector is left as it is). Both reflections reach the rows
-    above c + 1 in one pass, A -= u p^T + q w^T with p = A^T u / h the
-    left one's row product and q the right one's column product taken
-    after it.
-    """
-    a = [list(row) for row in rows]
-    couplings = []
-    for c in range(len(a) - 2, -1, -1):
-        x = [row.pop() for row in a]  # column c; the rows keep columns 0..c-1
-        u, h, d = _reflector(x) or ([0.0] * len(x), 1.0, 0.0)
-        couplings.append(d)
-        if c == 0:
-            break
-        p = [sum(map(mul, u, col)) / h for col in zip(*a)]
-        uc = u.pop()
-        y = [v - uc * pj for v, pj in zip(a.pop(), p)]  # row c + 1
-        w, g, f = _reflector(y) or ([0.0] * c, 1.0, 0.0)
-        couplings.append(f)
-        pw = sum(map(mul, p, w))
-        q = [(sum(map(mul, row, w)) - ui * pw) / g for ui, row in zip(u, a)]
-        a = [
-            [v - ui * pj - qi * wj for v, pj, wj in zip(row, p, w)]
-            for ui, qi, row in zip(u, q, a)
-        ]
-    return couplings[::-1]
 
 
 def _tridiagonal_eigenvalues(d, e):
@@ -333,11 +289,12 @@ def _reversed_eigenvalues(low):
     return array("d", sorted(_tridiagonal_eigenvalues(d, e)))
 
 
-def _square_block_eigenvalues(values, rows, sign, p):
-    """Eigenvalues, unsorted, of the rows x rows Hankel block with
-    anti-diagonal values ``values[:2 rows - 1]``, and the Weyl bound on
-    their miss, for a block that ``sign`` and the checkerboard conjugate
-    to A = (1/pi) H_p (``block_parameters``).
+def _block_factor(values, rows, sign, p):
+    """The diagonally pivoted Cholesky factor L, as its columns in pivot
+    order, of the rows x rows model A = (1/pi) H_p of a parity block with
+    anti-diagonal values ``values`` that ``sign`` and the checkerboard
+    conjugate to A or to A's first rows - 1 columns (``block_parameters``),
+    and the Weyl bound on the miss of the block's values.
 
     A is the Cauchy matrix g_i g_j / (x_i + x_j), x_i = i + (1 - p)/2 and
     g_i = 1/sqrt(pi), of numerical rank O(log N log 1/eps) (Beckermann &
@@ -349,23 +306,23 @@ def _square_block_eigenvalues(values, rows, sign, p):
     Cauchy again, with g_i times (x_i - x_k) / (x_i + x_k), both exact
     (Demmel, SIAM J. Matrix Anal. Appl. 21, 1999): a step costs O(rows)
     and zeroes g_k exactly. It stops once d_k is at most eps times A's
-    largest entry, at rank r. The r nonzero eigenvalues are those of the
-    r x r Gram matrix L^T L; the other rows - r are exact 0.0.
+    largest entry, at rank r.
 
     The values enter only through the certificate's formula,
     ``_block_deviation``, which must find the conjugated block within
     _MODEL_TOLERANCE of A, relative to A's largest entry, or
     ArithmeticError is raised; it sees every flipped value, the corner
-    too. By Weyl's inequality the bound is the trace of the positive
-    semidefinite remainder S plus rows times that deviation.
+    too. The bound is the trace of the positive semidefinite remainder S,
+    which bounds the 2-norm of S and of any columns of S, plus rows times
+    that deviation.
     """
     largest = 1.0 / (math.pi * (1.0 - p))  # A's first and largest entry
     deviation = _block_deviation(values, sign, p, rows)
     if not deviation <= _MODEL_TOLERANCE * largest:
         raise ArithmeticError(
-            f"spectrum_report: a size-{rows} parity block is not positive "
-            f"semidefinite (1/pi) H_p, p = {p:g}, after conjugation: it misses "
-            f"that model by {deviation:.3e}"
+            f"spectrum_report: a {rows}-row parity block is not positive "
+            f"semidefinite (1/pi) H_p, p = {p:g}, or its first columns, after "
+            f"conjugation: it misses that model by {deviation:.3e}"
         )
     sums = [i + 1.0 - p for i in range(rows)]  # x_i + x_0, exact
     twice = [s + i for i, s in enumerate(sums)]  # 2 x_i
@@ -380,13 +337,66 @@ def _square_block_eigenvalues(values, rows, sign, p):
         shifted = list(map(float(k).__add__, sums))  # x_i + x_k
         columns.append(list(map(truediv, map((g[k] / math.sqrt(top)).__mul__, g), shifted)))
         g = list(map(truediv, map(mul, g, range(-k, rows - k)), shifted))
+    return columns, sum(diagonal) + rows * deviation
+
+
+def _square_block_eigenvalues(values, rows, sign, p):
+    """Eigenvalues, unsorted, of the rows x rows parity block with
+    anti-diagonal values ``values[:2 rows - 1]``, and the Weyl bound on
+    their miss: sign times those of the Gram matrix L^T L of its factor
+    (``_block_factor``), and rows - r exact 0.0."""
+    columns, bound = _block_factor(values, rows, sign, p)
     # the Gram matrix's lower triangle, its order reversed as symm_eigen's
     columns.reverse()
     theta = _reversed_eigenvalues(
         [[sum(map(mul, x, y)) for y in columns[: i + 1]] for i, x in enumerate(columns)]
     )
     eigenvalues = [sign * t for t in theta] + [0.0] * (rows - len(theta))
-    return eigenvalues, sum(diagonal) + rows * deviation
+    return eigenvalues, bound
+
+
+def _gram_schmidt_rows(columns):
+    """The rows of R in Q R = the matrix with these columns, by modified
+    Gram-Schmidt, whose R is backward stable however far Q drifts from
+    orthogonal (Bjorck & Paige, SIAM J. Matrix Anal. Appl. 13, 1992); a
+    column that vanishes exactly leaves a zero row."""
+    columns = list(columns)
+    rows = []
+    for j, q in enumerate(columns):
+        row = [0.0] * len(columns)
+        norm = row[j] = math.sqrt(sum(map(mul, q, q)))
+        if norm:
+            q = [v / norm for v in q]
+            for i in range(j + 1, len(columns)):
+                t = row[i] = sum(map(mul, q, columns[i]))
+                columns[i] = [v - t * w for v, w in zip(columns[i], q)]
+        rows.append(row)
+    return rows
+
+
+def _block_singular_values(values, cols, sign, p):
+    """Singular values, ascending, of the (cols + 1) x cols parity block
+    with anti-diagonal values ``values[:2 cols]``, and the Weyl bound on
+    their miss. The block is close to L M^T (``_block_factor``; M is L
+    without its last row), whose singular values are those of B = R1 R2^T,
+    R1 and R2 the R factors of L and M; the core [[0, B], [B^T, 0]] gives
+    +/- them. L M^T has rank at most cols, so the cols largest are kept,
+    padded with exact zeros below rank r.
+    """
+    columns, bound = _block_factor(values, cols + 1, sign, p)
+    r = len(columns)
+    left = _gram_schmidt_rows(columns)
+    right = _gram_schmidt_rows([column[:-1] for column in columns])
+    b = [[sum(map(mul, x, y)) for y in right] for x in left]
+    # the lower triangle of [[0, B], [B^T, 0]]; read as reversed, it is
+    # that matrix permuted, with the same eigenvalues
+    pm = _reversed_eigenvalues(
+        [[0.0] * (i + 1) for i in range(r)]
+        + [[*column, *[0.0] * (j + 1)] for j, column in enumerate(zip(*b))]
+    )
+    # sigma from each +/- pair: >= 0 and ascending however they round
+    sigma = [(plus - minus) / 2.0 for minus, plus in zip(reversed(pm[:r]), pm[r:])]
+    return [0.0] * (cols - r) + sigma[max(r - cols, 0) :], bound
 
 
 def _truncation_eigenvalues(ell, n):
@@ -401,22 +411,12 @@ def _truncation_eigenvalues(ell, n):
             odd, _ = _square_block_eigenvalues(values[2::2], n - half, other_sign, other_p)
             eigenvalues += odd
         return array("d", sorted(eigenvalues))
+    # 0.0 - v, not -v, keeps the exact zeros from turning into -0.0
     if n % 2 == 0:
-        # 0.0 - v, not -v, keeps the exact zeros from turning into -0.0
         half, _ = _square_block_eigenvalues(values[1::2], n // 2, sign, p)
         return array("d", sorted([*half, *(0.0 - v for v in half)]))
-    # U is (k + 1) x k: its singular values come from the size-2k
-    # zero-diagonal tridiagonal of its bidiagonal form, whose eigenvalues
-    # pair up as +/- sigma. In chain order the couplings grow from
-    # rounding noise to about the largest sigma, the grading QL suits;
-    # on the reversed chain QL stops converging from N = 39 (ell 7) to
-    # N = 57 (ell 1) on.
-    k = n // 2
-    couplings = _bidiagonalize(_hankel_rows(values[1::2], k + 1, k))
-    pm = sorted(_tridiagonal_eigenvalues([0.0] * (2 * k), [0.0, *couplings]))
-    # each sigma from its pair, so sigma >= 0 and ascending however the
-    # pair's rounding falls
-    sigma = [(plus - minus) / 2.0 for minus, plus in zip(reversed(pm[:k]), pm[k:])]
+    k = n // 2  # at N = 1, U has no values
+    sigma = _block_singular_values(values[1::2], k, sign, p)[0] if k else []
     return array("d", [*(0.0 - s for s in reversed(sigma)), 0.0, *sigma])
 
 
@@ -428,15 +428,14 @@ def spectrum_report(ell, n):
     The eigenvalues come from the parity blocks (see the module
     docstring): for even ell, the two square blocks of sizes ceil(N/2)
     and floor(N/2); for odd ell, the square block U of size N/2 and its
-    negation at even N, and at odd N = 2k + 1 the singular values of the
-    (k + 1) x k block U, through its bidiagonal form and a size-2k
-    tridiagonal. Each square block is a pivoted Cholesky factor of rank
-    r (at most 31 up to the size cap), read from the generators of its
-    model (1/pi) H_p, and one r x r solve; its other eigenvalues are exact
-    zeros, printed as 0.0, never -0.0. The values enter only through the
-    certificate's check against that model: a block that misses it raises
-    ArithmeticError. The odd-ell spectrum is exactly symmetric
-    (v[i] == -v[N-1-i]), with v[k] == 0.0 at odd N.
+    negation at even N, and at odd N = 2k + 1 +/- the singular values of
+    the (k + 1) x k block U and one 0. Each block is read from one
+    pivoted Cholesky factor of rank r (at most 31 up to the size cap) of
+    its model (1/pi) H_p and one QL solve of size r or 2r; the other
+    values are exact zeros, printed as 0.0, never -0.0. The values enter
+    only through the certificate's check against that model: a block
+    that misses it raises ArithmeticError. The odd-ell spectrum is
+    exactly symmetric (v[i] == -v[N-1-i]), with v[k] == 0.0 at odd N.
     """
     ell = _check_int("spectrum_report", "ell", ell, 0, L_MAX)
     n = _check_int("spectrum_report", "n", n, 1, _MAX_SIZE)

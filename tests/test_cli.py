@@ -192,19 +192,29 @@ def test_spectrum_of_an_indefinite_block_exits_three(monkeypatch, capsys):
         return values
 
     monkeypatch.setattr(operators, "truncation_values", flipped)
-    code = cli.main(["spectrum", "--ell", "3", "--size", "64"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert "not positive semidefinite" in captured.err
+    # at odd size the (k + 1) x k block U passes the same guard
+    for size in ("64", "63"):
+        code = cli.main(["spectrum", "--ell", "3", "--size", size])
+        captured = capsys.readouterr()
+        assert code == 3, size
+        assert captured.out == "", size
+        assert "not positive semidefinite" in captured.err, size
 
 
-@pytest.mark.parametrize("ell", [0, 3])
-def test_spectrum_at_the_size_cap_runs_in_seconds(ell):
+@pytest.mark.parametrize(
+    "ell, size",
+    [
+        pytest.param(0, 4096, id="0"),
+        pytest.param(3, 4096, id="3"),
+        pytest.param(1, 4095, id="1-4095"),
+        pytest.param(3, 4095, id="3-4095"),
+    ],
+)
+def test_spectrum_at_the_size_cap_runs_in_seconds(ell, size):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
-        [sys.executable, "-m", "hankel_spectra", "spectrum", "--ell", str(ell), "--size", "4096"],
+        [sys.executable, "-m", "hankel_spectra", "spectrum", "--ell", str(ell), "--size", str(size)],
         capture_output=True,
         text=True,
         env=env,
@@ -212,7 +222,7 @@ def test_spectrum_at_the_size_cap_runs_in_seconds(ell):
     )
     assert result.returncode == 0
     rows = result.stdout.splitlines()[1:-1]
-    assert len(rows) == 4096
+    assert len(rows) == size
     assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hankel_spectra import operators as op
 from hankel_spectra import spectral
@@ -470,20 +470,22 @@ def test_spectrum_report_blocks_match_the_full_solve(ell, n):
         (0, 64, [("_square_block_eigenvalues", 32), ("_square_block_eigenvalues", 32)]),
         (1, 64, [("_square_block_eigenvalues", 32)]),
         (0, 33, [("_square_block_eigenvalues", 17), ("_square_block_eigenvalues", 16)]),
-        (1, 33, [("_bidiagonalize", (17, 16))]),
+        (1, 33, [("_block_singular_values", (17, 16))]),
         (2, 1, [("_square_block_eigenvalues", 1)]),
         (0, 1024, [("_square_block_eigenvalues", 512), ("_square_block_eigenvalues", 512)]),
         (3, 1024, [("_square_block_eigenvalues", 512)]),
     ],
 )
 def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
-    # one pivoted factor per square block, whose r x r Gram core, given
-    # by one triangle, is its only eigensolve; symm_eigen never runs, and
-    # odd order at odd N bidiagonalizes U
+    # one pivoted factor per block, then one QL core: the r x r Gram
+    # matrix of a square block, given by one triangle, or the size-2r
+    # [[0, B], [B^T, 0]] of the (k + 1) x k block U at odd N; symm_eigen
+    # never runs
     calls = []
     for name, shape in (
         ("_square_block_eigenvalues", lambda values, rows, sign, p: rows),
-        ("_bidiagonalize", np.shape),
+        ("_block_singular_values", lambda values, cols, sign, p: (cols + 1, cols)),
+        ("_block_factor", lambda values, rows, sign, p: rows),
         ("_reversed_eigenvalues", lambda low: (len(low), len(low[-1]))),
         ("symm_eigen", np.shape),
     ):
@@ -495,23 +497,27 @@ def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
 
         monkeypatch.setattr(op, name, recording)
     op.spectrum_report(ell, n)
-    assert [call for call in calls if call[0] != "_reversed_eigenvalues"] == shapes
-    cores = [shape for name, shape in calls if name == "_reversed_eigenvalues"]
-    assert len(cores) == sum(name == "_square_block_eigenvalues" for name, _ in calls)
-    for (name, rows), (following, core) in zip(calls, calls[1:]):
+    inner = ("_block_factor", "_reversed_eigenvalues")
+    assert [call for call in calls if call[0] not in inner] == shapes
+    assert len(calls) == 3 * len(shapes)
+    for start in range(0, len(calls), 3):
+        (name, rows), (_, factor), (core_name, core) = calls[start : start + 3]
+        assert core_name == "_reversed_eigenvalues" and core[0] == core[1]
         if name == "_square_block_eigenvalues":
-            assert following == "_reversed_eigenvalues"
-            assert core[0] == core[1] <= min(rows, 25)
+            assert factor == rows and core[0] <= min(rows, 25)
+        else:
+            assert factor == rows[0] and core[0] % 2 == 0 and core[0] <= 2 * min(factor, 25)
 
 
-def _square_blocks(ell, n):
-    """(values, rows, sign, p) of the square parity blocks of the
-    order-ell, size-n truncation, as ``spectrum_report`` solves them (n
-    even for odd ell)."""
+def _parity_blocks(ell, n):
+    """(values, rows, sign, p) of the parity blocks of the order-ell,
+    size-n truncation, as ``spectrum_report`` factors them: rows is the
+    size of the model; for odd ell at odd n the block U is its first
+    rows - 1 columns."""
     values = spectral.truncation_values(ell, n)
     (sign, p), (other_sign, other_p) = spectral.block_parameters(ell)
     if ell % 2:
-        return [(values[1::2], n // 2, sign, p)]
+        return [(values[1::2], (n + 1) // 2, sign, p)]
     half = (n + 1) // 2
     return [(values[0::2], half, sign, p), (values[2::2], n - half, other_sign, other_p)]
 
@@ -529,7 +535,7 @@ def test_square_block_misses_stay_within_the_discarded_trace(ell, n):
     # Weyl: the discarded remainder is positive semidefinite, so its trace
     # bounds every eigenvalue's miss; the Gram core's QL and LAPACK each
     # add rounding of about an ulp of the largest eigenvalue
-    for values, rows, sign, p in _square_blocks(ell, n):
+    for values, rows, sign, p in _parity_blocks(ell, n):
         got, bound = op._square_block_eigenvalues(values, rows, sign, p)
         block = np.array(op._hankel_rows(values, rows))
         want = np.linalg.eigvalsh(block)
@@ -546,7 +552,7 @@ def test_square_block_factor_matches_an_exact_solve(ell, n):
     # are the exact reference, up to the block's own deviation, which
     # the returned bound covers
     mpmath = pytest.importorskip("mpmath")
-    for values, rows, sign, p in _square_blocks(ell, n):
+    for values, rows, sign, p in _parity_blocks(ell, n):
         got, bound = op._square_block_eigenvalues(values, rows, sign, p)
         with mpmath.workdps(40):
             x = [i + (1 - mpmath.mpf(p)) / 2 for i in range(rows)]
@@ -562,9 +568,7 @@ def test_valid_blocks_sit_far_inside_the_model_guard():
     # valid block from (1/pi) H_p, relative to its largest entry
     for ell in range(9):
         for n in (64, 1023, 1024, 4095, 4096):
-            if ell % 2 and n % 2:
-                continue  # U is not square, and the factor does not run
-            for values, rows, sign, p in _square_blocks(ell, n):
+            for values, rows, sign, p in _parity_blocks(ell, n):
                 deviation = spectral._block_deviation(values, sign, p, rows)
                 assert 100.0 * deviation * math.pi * (1.0 - p) <= op._MODEL_TOLERANCE, (ell, n)
 
@@ -573,7 +577,7 @@ def test_valid_blocks_sit_far_inside_the_model_guard():
 @pytest.mark.parametrize("index", [0, 1])
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 def test_a_block_value_moved_by_1e_12_is_a_numerical_failure(ell, n, index, direction):
-    for values, rows, sign, p in _square_blocks(ell, n):
+    for values, rows, sign, p in _parity_blocks(ell, n):
         moved = list(values)
         moved[index] *= 1.0 + direction * 1e-12
         with pytest.raises(ArithmeticError, match="not positive semidefinite"):
@@ -587,10 +591,23 @@ def test_spectrum_report_has_no_negative_zeros():
             assert all(math.copysign(1.0, v) > 0.0 for v in values if v == 0.0), (ell, n)
 
 
-@pytest.mark.parametrize("ell, n, index", [(0, 64, 20), (0, 64, 124), (3, 64, 21), (3, 64, 125)])
+@pytest.mark.parametrize(
+    "ell, n, index",
+    [
+        (0, 64, 20),
+        (0, 64, 124),
+        (3, 64, 21),
+        (3, 64, 125),
+        (3, 63, 21),
+        (3, 63, 123),
+        (1, 45, 1),
+        (7, 181, 5),
+    ],
+)
 def test_a_flipped_block_value_is_a_numerical_failure(monkeypatch, ell, n, index):
     # index 124 and 125 are the corner value a_(2 rows - 2) of the first
-    # block, whose flip keeps the Frobenius norm
+    # block, whose flip keeps the Frobenius norm; at odd order and odd
+    # size, index 123 is the corner of the (k + 1) x k block U
     def flipped(ell, n, truncation_values=spectral.truncation_values):
         values = truncation_values(ell, n)
         values[index] = -values[index]
@@ -601,28 +618,66 @@ def test_a_flipped_block_value_is_a_numerical_failure(monkeypatch, ell, n, index
         op.spectrum_report(ell, n)
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
-    k=st.integers(min_value=0, max_value=30),
-    blank=st.booleans(),
-)
-@example(seed=0, k=0, blank=False)
-@example(seed=1, k=5, blank=True)
-@settings(max_examples=60, deadline=None)
-def test_bidiagonalize_then_ql_gives_the_singular_values(seed, k, blank):
-    # blank zeroes the last column, and the last row, so that both the
-    # left and the right reflection of the first step meet a zero vector
-    a = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(k + 1, k))
-    if blank and k:
-        a[:, -1] = 0.0
-        a[-1, :] = 0.0
-    couplings = op._bidiagonalize(a.tolist())
-    assert len(couplings) == max(2 * k - 1, 0)
-    got = sorted(op._tridiagonal_eigenvalues([0.0] * (2 * k), [0.0, *couplings]))
-    sigma = np.linalg.svd(a, compute_uv=False)
-    want = np.sort(np.concatenate([-sigma, sigma]))
-    tolerance = 1e-13 * max([1.0, *sigma])
-    assert np.max(np.abs(np.array(got) - want), initial=0.0) <= tolerance
+@pytest.mark.parametrize("ell", [1, 3, 5, 7])
+def test_odd_order_at_odd_size_matches_lapack(ell):
+    # N = 1 has no block at all, and at small N the factor's rank r
+    # exceeds k, the rank of U
+    for n in range(1, 130, 2):
+        values = np.asarray(op.spectrum_report(ell, n).eigenvalues)
+        want = np.linalg.eigvalsh(op.hankel_truncation(ell, n).entries)
+        assert np.max(np.abs(values - want)) <= 1e-13, n
+        assert np.array_equal(values, -values[::-1]), n
+        assert values[n // 2] == 0.0, n
+        assert all(math.copysign(1.0, v) > 0.0 for v in values if v == 0.0), n
+
+
+def _odd_block(ell, n):
+    """(values, cols, sign, p) of the (cols + 1) x cols block U of the
+    order-ell, size-n truncation, odd ell and odd n."""
+    values = spectral.truncation_values(ell, n)
+    (sign, p), _ = spectral.block_parameters(ell)
+    return values[1::2], n // 2, sign, p
+
+
+@pytest.mark.parametrize("ell, n", [(1, 511), (3, 1023), (7, 255)])
+def test_odd_block_misses_stay_within_the_factor_bound(ell, n):
+    # U ~ L M^T misses the model's first columns by columns of the
+    # positive semidefinite remainder, whose trace bounds their norm
+    values, cols, sign, p = _odd_block(ell, n)
+    got, bound = op._block_singular_values(values, cols, sign, p)
+    block = np.array([values[row : row + cols] for row in range(cols + 1)])
+    want = np.linalg.svd(block, compute_uv=False)[::-1]
+    assert len(got) == cols and list(got) == sorted(got)
+    assert 0.0 <= bound < 1e-13 * want[-1]
+    miss = np.max(np.abs(np.array(got) - want))
+    assert miss <= bound + 4.0 * np.finfo(float).eps * want[-1], (miss, bound)
+
+
+@pytest.mark.parametrize("ell, n", [(1, 47), (3, 63)])
+def test_odd_block_matches_an_exact_svd(ell, n):
+    # 40 digits of the singular values of the model's first k columns are
+    # the exact reference, up to the block's own deviation
+    mpmath = pytest.importorskip("mpmath")
+    values, cols, sign, p = _odd_block(ell, n)
+    got, bound = op._block_singular_values(values, cols, sign, p)
+    with mpmath.workdps(40):
+        x = [i + (1 - mpmath.mpf(p)) / 2 for i in range(cols + 1)]
+        model = mpmath.matrix([[1 / (mpmath.pi * (xi + xj)) for xj in x[:cols]] for xi in x])
+        want = sorted(float(v) for v in mpmath.svd_r(model, compute_uv=False))
+    miss = max(abs(x - y) for x, y in zip(got, want))
+    assert miss <= bound + 4.0 * np.finfo(float).eps * want[-1], (miss, bound)
+
+
+@pytest.mark.parametrize("ell, n", [(1, 4095), (7, 4095), (3, 2047)])
+def test_odd_size_spectra_keep_the_frobenius_moment(ell, n):
+    # an O(N) oracle where a dense solve is too heavy: the sum of the
+    # squared eigenvalues is the squared Frobenius norm, in which value s
+    # appears on min(s + 1, 2N - 1 - s) entries
+    values = spectral.truncation_values(ell, n)
+    eigenvalues = op.spectrum_report(ell, n).eigenvalues
+    frobenius = math.fsum(min(s + 1, 2 * n - 1 - s) * v * v for s, v in enumerate(values))
+    assert abs(math.fsum(v * v for v in eigenvalues) - frobenius) <= 1e-13
+    assert list(eigenvalues) == [0.0 - v for v in reversed(eigenvalues)]
 
 
 @pytest.mark.parametrize("p", [0.5, -0.5])
