@@ -269,7 +269,7 @@ def evaluate(ell, x, method="auto"):
     return KernelEvaluation(x=x, value=value, route="oracle", error_estimate=1e-12)
 
 
-def lp_diagnostic(ell, p, big_x, tol=1e-5):
+def lp_diagnostic(ell, p, big_x):
     """Integral of |k^(ell)|^p over (0, X) by the best route per region.
 
     The convolution route covers (0, 0.1]; the closed form covers the
@@ -281,7 +281,7 @@ def lp_diagnostic(ell, p, big_x, tol=1e-5):
     ell = _check_int("lp_diagnostic", "ell", ell, 1, L_MAX)
     _check_finite("lp_diagnostic", "p", p)
     _check_finite("lp_diagnostic", "X", big_x)
-    quadrature._check_tol("lp_diagnostic", tol)
+    tol = 1e-5  # absolute, on each of the two regions
     if p < 1.0:
         raise ValueError(f"lp_diagnostic: p = {p} must be >= 1")
     if big_x <= 0.0:

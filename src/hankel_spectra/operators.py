@@ -49,7 +49,7 @@ an ``array.array("d")``, 8 bytes a value), so all three compare by value;
 This module imports only the standard library, ``specfun`` and
 ``spectral``; ``symm_eigen`` reads any sequence of rows, a NumPy array
 from a caller too, row by row. The block certificates and the
-coefficients live in ``spectral`` and are re-exported here.
+coefficients are bound in ``spectral`` alone; callers reach them there.
 """
 
 import math
@@ -60,16 +60,8 @@ from itertools import chain, zip_longest
 from operator import mul, sub, truediv
 
 from .specfun import L_MAX, _check_finite, _check_int
-from .spectral import MAX_TRUNCATION_SIZE as _MAX_SIZE
-from .spectral import (  # the certificate and the coefficients are re-exported
-    BlockCertificate,
-    _block_deviation,
-    block_certificate,
-    block_parameters,
-    fourier_coefficient,
-    hilbert_type_values,
-    truncation_values,
-)
+from .spectral import MAX_TRUNCATION_SIZE as _MAX_SIZE, _block_deviation, block_parameters
+from .spectral import hilbert_type_values, truncation_values
 
 # QL iterations allowed per eigenvalue, as in EISPACK
 _QL_MAX_ITERATIONS = 30

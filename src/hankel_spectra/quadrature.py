@@ -198,7 +198,7 @@ def improper_damped(f, tol, breakpoints=(), degree=L_MAX):
     return integrate_adaptive(f, -cut, cut, tol, breakpoints=[0.0, *inner])
 
 
-def fourier_symbol_oracle(ell, x, tol=1e-13):
+def fourier_symbol_oracle(ell, x):
     """Direct quadrature of (1/2 pi) times the Fourier integral of the
     order-ell symbol over [-1, 1].
 
@@ -210,7 +210,6 @@ def fourier_symbol_oracle(ell, x, tol=1e-13):
     """
     ell = _check_int("fourier_symbol_oracle", "ell", ell, 0, L_MAX)
     _check_finite("fourier_symbol_oracle", "x", x)
-    _check_tol("fourier_symbol_oracle", tol)
 
     def g(t):
         moebius = complex(1.0, t) / complex(1.0, -t)
@@ -220,7 +219,7 @@ def fourier_symbol_oracle(ell, x, tol=1e-13):
     segments = max(1, math.ceil(2.0 / width))
     _check_seed_panels(segments, DEFAULT_MAX_PANELS)
     cuts = [-1.0 + 2.0 * i / segments for i in range(1, segments)]
-    result = integrate_adaptive(g, -1.0, 1.0, tol, breakpoints=cuts)
+    result = integrate_adaptive(g, -1.0, 1.0, 1e-13, breakpoints=cuts)
     value = result.value / (2.0 * math.pi)
     if abs(value.imag) > 1e-12:
         raise ArithmeticError(
@@ -249,7 +248,7 @@ def _xi_pow_fourth_derivative_numerator(ell):
     return poly
 
 
-def _xi_pow_reference(ell, w, tol=1e-11):
+def _xi_pow_reference(ell, w):
     """Quadrature route for the transform of f = (1+t^2)^(-ell),
     independent of the exponential-polynomial closed form.
 
@@ -270,7 +269,7 @@ def _xi_pow_reference(ell, w, tol=1e-11):
     """
     ell = _check_int("_xi_pow_reference", "ell", ell, 1, L_MAX)
     _check_finite("_xi_pow_reference", "w", w)
-    _check_tol("_xi_pow_reference", tol)
+    tol = 1e-11
     norm = 1.0 / math.sqrt(2.0 * math.pi)
     u = abs(w)
     if u == 0.0:
@@ -318,13 +317,12 @@ def _xi_pow_reference(ell, w, tol=1e-11):
     return norm * 2.0 * core.value / u**4
 
 
-def _poly_symbol_reference(ell, w, tol=1e-12):
+def _poly_symbol_reference(ell, w):
     """Quadrature route for the transform of the degree-2 ell polynomial
     symbol factor 2 (1+it)^(2 ell) on [-1, 1], independent of the
     sinc-derivative closed form."""
     ell = _check_int("_poly_symbol_reference", "ell", ell, 0, L_MAX)
     _check_finite("_poly_symbol_reference", "w", w)
-    _check_tol("_poly_symbol_reference", tol)
 
     def integrand(t):
         return 2.0 * complex(1.0, t) ** (2 * ell) * cmath.exp(complex(0.0, -t * w))
@@ -332,7 +330,7 @@ def _poly_symbol_reference(ell, w, tol=1e-12):
     pieces = max(1, math.ceil(2.0 * abs(w) / math.pi))
     _check_seed_panels(pieces, DEFAULT_MAX_PANELS)
     seeds = [-1.0 + 2.0 * k / pieces for k in range(1, pieces)]
-    result = integrate_adaptive(integrand, -1.0, 1.0, tol, breakpoints=seeds)
+    result = integrate_adaptive(integrand, -1.0, 1.0, 1e-12, breakpoints=seeds)
     value = result.value / math.sqrt(2.0 * math.pi)
     if abs(value.imag) > 1e-11:
         raise ArithmeticError(

@@ -250,7 +250,7 @@ def gamma_abs_sq(p, y):
 
     Shifts the argument up by the recurrence |Gamma(w)|^2 =
     |Gamma(w+1)|^2 / |w|^2 until Re w >= 10, then applies the Stirling
-    series for log Gamma.
+    series for log Gamma. Raises OverflowError past the double range.
     """
     _check_gamma_args("gamma_abs_sq", p, y)
     w = complex(0.5 - p, -y)
@@ -258,7 +258,10 @@ def gamma_abs_sq(p, y):
     while w.real < 10.0:
         shift *= w.real * w.real + w.imag * w.imag
         w += 1.0
-    return math.exp(2.0 * _log_gamma_re(w)) / shift
+    value = math.exp(2.0 * _log_gamma_re(w)) / shift if shift else math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"gamma_abs_sq: |Gamma|^2 overflows at p = {p}, y = {y}")
+    return value
 
 
 def log_gamma_abs_sq(p, y):
@@ -267,6 +270,7 @@ def log_gamma_abs_sq(p, y):
     The shift of ``gamma_abs_sq`` summed as 2 log|w| rather than
     multiplied as |w|^2, so it stays finite where |Gamma|^2 or the
     shift product leaves the double range (|Gamma|^2 ~ e^(-pi y)).
+    It raises OverflowError only below about p = -1.25e305.
     """
     _check_gamma_args("log_gamma_abs_sq", p, y)
     w = complex(0.5 - p, -y)
@@ -274,7 +278,10 @@ def log_gamma_abs_sq(p, y):
     while w.real < 10.0:
         log_shift += 2.0 * math.log(abs(w))
         w += 1.0
-    return 2.0 * _log_gamma_re(w) - log_shift
+    value = 2.0 * _log_gamma_re(w) - log_shift
+    if not math.isfinite(value):
+        raise OverflowError(f"log_gamma_abs_sq: log |Gamma|^2 overflows at p = {p}")
+    return value
 
 
 def damped_moment_shifted(n, a, x):

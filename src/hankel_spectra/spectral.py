@@ -91,10 +91,12 @@ def density_rho(p, lam):
     i sqrt(lambda))|^2 of the diagonalizing space, as a point record.
 
     Defined for lambda > 0 only; the value is a raw (unnormalized)
-    density and grows exponentially in sqrt(lambda). ``log_rho``,
-    computed in log space, is finite for every valid input. The sinh
-    factor overflows past lambda = (asinh(DBL_MAX) / 2 pi)^2, about
-    1.28e4; from there ``rho`` is exp(log_rho), and None once rho itself
+    density and grows exponentially in sqrt(lambda). ``log_rho`` is
+    computed in log space; below about p = -1.25e305 it leaves the double
+    range too, and the call raises OverflowError. Where the direct
+    product overflows (the sinh factor past lambda = (asinh(DBL_MAX) /
+    2 pi)^2, about 1.28e4, or |Gamma|^2 below lambda = 5.6e-309 at
+    p = 1/2), ``rho`` is exp(log_rho), and None once rho itself
     overflows a double (lambda about 4.6e4 to 5.2e4, by p).
     """
     _check_finite("density_rho", "p", p)
@@ -108,12 +110,12 @@ def density_rho(p, lam):
     try:
         rho = math.sinh(t) * gamma_abs_sq(p, y) / (2.0 * math.pi * math.pi)
     except OverflowError:
-        rho = None
+        rho = math.inf  # what the product reads where it overflows without raising
     # log sinh t = t + log(1 - e^(-2t)) - log 2, finite for every t > 0
     log_sinh = t + math.log(-math.expm1(-2.0 * t)) - math.log(2.0)
     log_rho = log_sinh + log_gamma_abs_sq(p, y) - math.log(2.0 * math.pi * math.pi)
-    if rho is None and log_rho < _LOG_DBL_MAX:
-        rho = math.exp(log_rho)
+    if rho == math.inf:
+        rho = math.exp(log_rho) if log_rho < _LOG_DBL_MAX else None
     return SpectralDensityPoint(p=p, lam=lam, rho=rho, log_rho=log_rho)
 
 

@@ -141,7 +141,7 @@ def test_criterion_06_block_certificates():
     worst_dev = 0.0
     worst_cross = 0.0
     for ell in range(0, 8):
-        cert = operators.block_certificate(ell, 64)
+        cert = spectral.block_certificate(ell, 64)
         worst_dev = max(worst_dev, cert.max_abs_deviation)
         worst_cross = max(worst_cross, cert.cross_block_max)
     elapsed = time.perf_counter() - start

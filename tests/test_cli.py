@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -7,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hankel_spectra import cli
 
@@ -111,6 +115,32 @@ def test_density_past_the_sinh_overflow_reports_log_rho(capsys, lam):
     (entry,) = json.loads(out)["rows"]
     assert entry["rho"] is None
     assert entry["log_rho"] == float(log_rho_cell)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("lam", ["1e-309", "5e-324"])
+def test_density_past_the_gamma_overflow_prints_a_finite_rho(capsys, lam, fmt):
+    # |Gamma(-i sqrt(lambda))|^2 overflows here; rho, about 1e154, does not
+    code, out = run_cli(capsys, "density", "--p", "0.5", "--lambda", lam, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        (entry,) = json.loads(out)["rows"]
+        rho, log_rho = entry["rho"], entry["log_rho"]
+    else:
+        _, rho, _, log_rho = map(float, out.splitlines()[1].split(","))
+    assert math.isfinite(rho)
+    assert rho == pytest.approx(math.exp(log_rho), rel=1e-13)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_log_rho_overflow_is_a_numerical_failure(capsys, fmt):
+    code, out = run_cli(capsys, "density", "--p", "-1e306", "--lambda", "1", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    # log_rho = 1.6835e308 is still a double
+    code, out = run_cli(capsys, "density", "--p", "-1.2e305", "--lambda", "1", "--format", fmt)
+    assert code == 0
+    assert "1.6835" in out
 
 
 def test_density_rejects_large_p(capsys):
@@ -404,6 +434,46 @@ def test_kernel_overflow_is_a_numerical_failure(capsys, ell, x, fmt):
     code, out = run_cli(capsys, "kernel", "--ell", ell, "--x", x, "--format", fmt)
     assert code == 3
     assert out == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON output holds {name}")
+
+
+_DENSITY_ARGV = st.builds(
+    lambda p, lam: ("density", "--p", repr(p), "--lambda", repr(lam)),
+    st.floats(max_value=0.5, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+_KERNEL_ARGV = st.builds(
+    lambda ell, x: ("kernel", "--ell", str(ell), "--method", "closed", "--x", repr(x)),
+    st.integers(min_value=0, max_value=8),
+    st.floats(min_value=1e-3, max_value=1e308),
+)
+
+
+@given(argv=st.one_of(_DENSITY_ARGV, _KERNEL_ARGV))
+@example(argv=("density", "--p", "0.5", "--lambda", "5e-324"))
+@example(argv=("density", "--p", "0.5", "--lambda", "1e-309"))
+@example(argv=("density", "--p", "-1e306", "--lambda", "1.0"))
+@example(argv=("density", "--p", "-1.7976931348623157e308", "--lambda", "1e308"))
+@example(argv=("density", "--p", "0.5", "--lambda", "1.7976931348623157e308"))
+@example(argv=("kernel", "--ell", "8", "--method", "closed", "--x", "1e308"))
+@settings(max_examples=400, deadline=None)
+def test_float_flags_print_finite_values_or_fail_cleanly(argv):
+    # exit 0 with finite numbers, or exit 2 or 3 with nothing on stdout
+    for fmt in ("csv", "json"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main([*argv, "--format", fmt])
+        text = out.getvalue()
+        assert code in (0, 2, 3), (argv, fmt, code)
+        if code:
+            assert text == "", (argv, fmt)
+        elif fmt == "json":
+            json.loads(text, parse_constant=_reject_constant)
+        else:
+            cells = {cell.lower() for row in csv.reader(io.StringIO(text)) for cell in row}
+            assert not cells & {"inf", "-inf", "nan"}, (argv, text)
 
 
 def test_output_is_byte_deterministic(capsys):

@@ -12,12 +12,12 @@ from hankel_spectra import spectral
 
 
 def test_fourier_coefficient_values():
-    assert op.fourier_coefficient(2) == 0.0
-    assert op.fourier_coefficient(4) == 0.0
-    assert op.fourier_coefficient(1) == pytest.approx(2.0 / math.pi, rel=1e-15)
-    assert op.fourier_coefficient(3) == pytest.approx(-2.0 / (3.0 * math.pi), rel=1e-15)
-    assert op.fourier_coefficient(5) == pytest.approx(2.0 / (5.0 * math.pi), rel=1e-15)
-    assert op.fourier_coefficient(7) == pytest.approx(-2.0 / (7.0 * math.pi), rel=1e-15)
+    assert spectral.fourier_coefficient(2) == 0.0
+    assert spectral.fourier_coefficient(4) == 0.0
+    assert spectral.fourier_coefficient(1) == pytest.approx(2.0 / math.pi, rel=1e-15)
+    assert spectral.fourier_coefficient(3) == pytest.approx(-2.0 / (3.0 * math.pi), rel=1e-15)
+    assert spectral.fourier_coefficient(5) == pytest.approx(2.0 / (5.0 * math.pi), rel=1e-15)
+    assert spectral.fourier_coefficient(7) == pytest.approx(-2.0 / (7.0 * math.pi), rel=1e-15)
 
 
 def test_hankel_truncation_small_examples():
@@ -74,9 +74,9 @@ def test_truncation_size_cap():
         with pytest.raises(ValueError, match=f"n = {cap + 1} outside"):
             build(cap + 1)
     # the certificate reads the size-2N truncation
-    op.block_certificate(2, cap // 2)
+    spectral.block_certificate(2, cap // 2)
     with pytest.raises(ValueError, match=f"n = {cap // 2 + 1} outside"):
-        op.block_certificate(2, cap // 2 + 1)
+        spectral.block_certificate(2, cap // 2 + 1)
 
 
 def test_block_parameters_frozen():
@@ -93,7 +93,7 @@ def test_block_parameters_frozen():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_even_block_certificates(m):
-    cert = op.block_certificate(2 * m, 32)
+    cert = spectral.block_certificate(2 * m, 32)
     assert cert.parity == "even"
     assert cert.max_abs_deviation <= 1e-13
     assert cert.cross_block_max == 0.0
@@ -101,7 +101,7 @@ def test_even_block_certificates(m):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_odd_block_certificates(m):
-    cert = op.block_certificate(2 * m + 1, 32)
+    cert = spectral.block_certificate(2 * m + 1, 32)
     assert cert.parity == "odd"
     assert cert.max_abs_deviation <= 1e-13
     assert cert.cross_block_max == 0.0
@@ -127,7 +127,7 @@ def test_block_certificates_catch_a_perturbed_block(monkeypatch, parity, rows, c
             return values
 
         monkeypatch.setattr(spectral, "truncation_values", perturbed)
-        cert = op.block_certificate(ell, n)
+        cert = spectral.block_certificate(ell, n)
         if allowed:
             assert cert.max_abs_deviation >= 0.4 * delta, index
             assert cert.cross_block_max == 0.0, index
@@ -140,7 +140,7 @@ def _dense_truncation(ell, n):
     """The truncation as a dense index matrix gathered from the coefficients."""
     coeffs = np.zeros(2 * n + ell)
     for s in range(1, 2 * n + ell):
-        coeffs[s] = op.fourier_coefficient(s)
+        coeffs[s] = spectral.fourier_coefficient(s)
     return coeffs[np.add.outer(np.arange(n), np.arange(n)) + ell + 1]
 
 
@@ -216,7 +216,7 @@ def test_alternating_signs_is_a_tuple_of_unit_floats():
 @pytest.mark.parametrize("n", [1, 2, 8, 33, 300])
 @pytest.mark.parametrize("ell", range(9))
 def test_block_certificates_match_the_dense_computation_bit_for_bit(ell, n):
-    cert = op.block_certificate(ell, n)
+    cert = spectral.block_certificate(ell, n)
     got = (cert.max_abs_deviation.hex(), cert.cross_block_max.hex())
     assert got == _dense_certificate(ell, n)
 
@@ -228,7 +228,7 @@ def test_block_certificates_allocate_a_few_blocks_at_most(ell):
     for n in (512, 2048):
         tracemalloc.start()
         try:
-            op.block_certificate(ell, n)
+            spectral.block_certificate(ell, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -252,11 +252,11 @@ def test_non_finite_input_is_rejected(call):
 
 def test_block_certificate_validation():
     with pytest.raises(ValueError):
-        op.block_certificate(-1, 8)
+        spectral.block_certificate(-1, 8)
     with pytest.raises(ValueError):
-        op.block_certificate(9, 8)
+        spectral.block_certificate(9, 8)
     with pytest.raises(ValueError):
-        op.block_certificate(2, 0)
+        spectral.block_certificate(2, 0)
 
 
 def _cubic_eigenvalues_exact(matrix_fractions):

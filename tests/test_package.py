@@ -23,7 +23,10 @@ def test_star_import_binds_every_exported_name():
 
 def test_operators_names_are_the_module_objects():
     assert hankel_spectra.symm_eigen is operators.symm_eigen
-    assert hankel_spectra.BlockCertificate is operators.BlockCertificate
+    # the certificate and the coefficients have one binding, in spectral
+    for name in ("BlockCertificate", "block_certificate", "fourier_coefficient"):
+        assert getattr(hankel_spectra, name) is getattr(spectral, name)
+        assert not hasattr(operators, name)
 
 
 def test_term_by_term_reference_is_not_exported():
@@ -107,15 +110,18 @@ def _names_used(node):
             yield from (alias.name for alias in child.names)
 
 
-def test_every_private_helper_has_a_caller_in_the_package():
-    # a private module-level function that only the tests call is dead
-    # weight in the package; its own body (recursion) does not count
+def _package_trees():
     package = Path(hankel_spectra.__file__).parent
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(package.glob("*.py"))
     }
     assert trees
+    return trees
+
+
+def _private_helpers(trees):
+    """(module, node) for every private module-level function."""
     helpers = [
         (name, node)
         for name, tree in trees.items()
@@ -125,13 +131,79 @@ def test_every_private_helper_has_a_caller_in_the_package():
         and not node.name.endswith("__")
     ]
     assert helpers
+    return helpers
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a private module-level function that only the tests call is dead
+    # weight in the package; its own body (recursion) does not count
+    trees = _package_trees()
     uses = Counter(name for tree in trees.values() for name in _names_used(tree))
     unused = [
         f"{module}:{node.name}"
-        for module, node in helpers
+        for module, node in _private_helpers(trees)
         if uses[node.name] == Counter(_names_used(node))[node.name]
     ]
     assert unused == []
+
+
+def test_no_module_binds_a_sibling_name_it_does_not_use():
+    # a name imported from a sibling only to be re-exported gives the
+    # object a second binding, which a patch of the first one misses
+    unused = []
+    for module, tree in _package_trees().items():
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{module}:{alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if (alias.asname or alias.name) not in read
+        ]
+    assert unused == []
+
+
+def _passes(call, position, name):
+    """Whether ``call`` gives the parameter at ``position`` (None for
+    keyword-only) called ``name`` a value, explicitly or by unpacking."""
+    return (
+        (position is not None and len(call.args) > position)
+        or any(isinstance(arg, ast.Starred) for arg in call.args)
+        or any(keyword.arg in (name, None) for keyword in call.keywords)
+    )
+
+
+def test_every_default_of_a_private_helper_is_passed_by_a_caller():
+    # a default that no call in the package overrides is a constant
+    # dressed as a parameter
+    trees = _package_trees()
+    calls = [
+        node for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    unpassed = []
+    for module, node in _private_helpers(trees):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first] + [
+            (None, arg.arg)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        callers = [
+            call for call in calls
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) == node.name
+        ]
+        unpassed += [
+            f"{module}:{node.name}({name})"
+            for position, name in defaulted
+            if not any(_passes(call, position, name) for call in callers)
+        ]
+    assert unpassed == []
 
 
 # Every public function with an integer argument, called with that

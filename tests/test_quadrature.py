@@ -243,7 +243,6 @@ def test_poly_symbol_reference_against_mpmath():
         lambda: improper_damped(lambda y: math.exp(-abs(y)), tol=math.nan),
         lambda: fourier_symbol_oracle(1, math.inf),
         lambda: fourier_symbol_oracle(1, math.nan),
-        lambda: fourier_symbol_oracle(1, 1.0, tol=math.nan),
         lambda: _xi_pow_reference(1, math.inf),
         lambda: _poly_symbol_reference(1, math.nan),
     ],
@@ -254,7 +253,6 @@ def test_poly_symbol_reference_against_mpmath():
         "damped-nan-tol",
         "oracle-inf-x",
         "oracle-nan-x",
-        "oracle-nan-tol",
         "xi-pow-inf-w",
         "poly-symbol-nan-w",
     ],

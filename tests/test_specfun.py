@@ -231,6 +231,29 @@ def test_gamma_abs_sq_rejects_large_p():
         gamma_abs_sq(0.75, 1.0)
 
 
+def test_gamma_abs_sq_overflow_is_an_error():
+    # at p = 1/2, |Gamma|^2 ~ 1/y^2 leaves the double range below
+    # y ~ 7.5e-155, and y^2 itself underflows to 0 below y ~ 1.6e-162
+    assert gamma_abs_sq(0.5, 1e-154) == pytest.approx(1e308, rel=1e-12)
+    for y in (1e-156, 1e-163):
+        with pytest.raises(OverflowError, match="^gamma_abs_sq: "):
+            gamma_abs_sq(0.5, y)
+        want = float(2 * mp.re(mp.loggamma(mp.mpc(0, -y))))
+        assert log_gamma_abs_sq(0.5, y) == pytest.approx(want, rel=1e-13)
+    with pytest.raises(OverflowError, match="^gamma_abs_sq: "):
+        gamma_abs_sq(-1e306, 1.0)
+
+
+def test_log_gamma_abs_sq_overflow_is_an_error():
+    # log |Gamma(a - iy)|^2 ~ 2 a log a leaves the double range near
+    # a = 1.25e305
+    want = float(2 * mp.re(mp.loggamma(mp.mpc(0.5 + 1.2e305, -1.0))))
+    assert log_gamma_abs_sq(-1.2e305, 1.0) == pytest.approx(want, rel=1e-13)
+    for p in (-1.3e305, -1e306, -1.7976931348623157e308):
+        with pytest.raises(OverflowError, match="^log_gamma_abs_sq: "):
+            log_gamma_abs_sq(p, 1.0)
+
+
 def test_log_gamma_abs_sq_matches_mpmath_beyond_the_double_range():
     # |Gamma|^2 ~ 2 pi y^(-2p) e^(-pi y) underflows from y ~ 230 on
     for p in (0.5, 0.0, -0.5, -3.5):

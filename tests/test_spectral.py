@@ -81,20 +81,52 @@ def test_density_rho_is_none_past_the_sinh_overflow():
         assert point.log_rho > 709.0
 
 
+def _rho_reference(p, lam):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        y = mpmath.sqrt(mpmath.mpf(lam))
+        gamma = mpmath.gamma(mpmath.mpf(0.5) - p - 1j * y)
+        return mpmath.sinh(2 * mpmath.pi * y) * abs(gamma) ** 2 / (2 * mpmath.pi**2)
+
+
 @pytest.mark.parametrize("p", [0.5, 0.0, -0.5, -1.5, -3.5])
 def test_density_rho_past_the_sinh_overflow_matches_mpmath(p):
-    mpmath = pytest.importorskip("mpmath")
     for lam in (1.28e4, 2e4, 3e4, 4e4, 5e4):
-        with mpmath.workdps(50):
-            y = mpmath.sqrt(mpmath.mpf(lam))
-            gamma = mpmath.gamma(mpmath.mpf(0.5) - p - 1j * y)
-            reference = mpmath.sinh(2 * mpmath.pi * y) * abs(gamma) ** 2 / (2 * mpmath.pi**2)
-            representable = reference < mpmath.mpf(sys.float_info.max)
+        reference = _rho_reference(p, lam)
         rho = density_rho(p, lam).rho
-        if representable:
+        if reference < sys.float_info.max:
             assert rho == pytest.approx(float(reference), rel=1e-12)
         else:
             assert rho is None
+
+
+@pytest.mark.parametrize(
+    "p, lam",
+    [(0.5, 1e-309), (0.5, 5e-324), (-98.2, 1.0)],
+    ids=["gamma-1e-309", "gamma-5e-324", "product"],
+)
+def test_density_rho_where_a_factor_overflows_matches_mpmath(p, lam):
+    # rho is finite, but |Gamma|^2 alone, or the product sinh * |Gamma|^2
+    # before its division by 2 pi^2, leaves the double range
+    point = density_rho(p, lam)
+    assert point.rho == pytest.approx(float(_rho_reference(p, lam)), rel=1e-12)
+    assert point.log_rho == pytest.approx(math.log(point.rho), rel=1e-13)
+
+
+def test_density_rho_is_none_where_the_product_overflows():
+    point = density_rho(-98.5, 1.0)
+    assert _rho_reference(-98.5, 1.0) > sys.float_info.max
+    assert point.rho is None
+    assert point.log_rho > 709.0
+
+
+def test_density_raises_where_log_rho_overflows():
+    point = density_rho(-1.2e305, 1.0)
+    assert point.rho is None
+    assert point.log_rho == pytest.approx(1.6835e308, rel=1e-4)
+    for p in (-1.3e305, -1e306):
+        with pytest.raises(OverflowError):
+            density_rho(p, 1.0)
 
 
 def test_multiplier_is_finite_past_the_cosh_overflow():
