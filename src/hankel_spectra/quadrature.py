@@ -5,7 +5,10 @@ adaptivity: the 7-point Gauss rule is embedded in the 15-point Kronrod
 extension, and their difference drives the per-panel error estimate the
 same way QUADPACK does. Panels are kept in a priority queue keyed by
 (error, left endpoint) so refinement order, and therefore output, is
-deterministic; final values are summed left to right.
+deterministic; final values are summed left to right. Refinement stops
+once the panels' error estimates sum to at most tol; near tol, and at
+the panel budget, that sum is taken exactly (math.fsum), because the
+running total carries the rounding of every update.
 
 These routines are the ground truth the closed-form modules are tested
 against, so they deliberately know nothing about those closed forms.
@@ -16,8 +19,8 @@ Each integral comes back as a ``QuadratureResult`` named tuple.
 import cmath
 import heapq
 import math
+import sys
 from collections import namedtuple
-from functools import lru_cache
 
 from .specfun import L_MAX, _check_finite, _check_int
 
@@ -54,8 +57,8 @@ _WG = (
 )
 
 _EVALS_PER_PANEL = 15
+_EPS = sys.float_info.epsilon
 DEFAULT_MAX_PANELS = 10_000
-_XI_POW_MAX_PANELS = 20_000
 
 
 # value (float or complex), accumulated error estimate and evaluation count
@@ -149,12 +152,16 @@ def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANE
     points = [a, *sorted(p for p in set(breakpoints) if a < p < b), b]
     _check_seed_panels(len(points) - 1, max_panels)
     heap = []
-    total_err = 0.0
     for u, v in zip(points, points[1:]):
         value, err = _gk15_panel(f, u, v)
         heapq.heappush(heap, (-err, u, v, value, err))
-        total_err += err
-    while total_err > tol:
+    # drift bounds the rounding that the running total has picked up
+    total_err, drift = math.fsum(item[4] for item in heap), 0.0
+    while True:
+        if abs(total_err - tol) <= drift or len(heap) >= max_panels:
+            total_err, drift = math.fsum(item[4] for item in heap), 0.0
+        if total_err <= tol:
+            break
         neg_err, u, v, value, err = heap[0]
         if err == 0.0:
             break  # cannot refine further; estimates are at the floor
@@ -162,7 +169,7 @@ def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANE
             best = _combine([(u_, v_, val_, e_) for _, u_, v_, val_, e_ in heap])
             raise QuadratureBudgetError(
                 f"integrate_adaptive: panel budget {max_panels} exhausted with "
-                f"error estimate {best.abs_error_estimate:.3e} > tol {tol:.3e}",
+                f"error estimate {total_err:.3e} > tol {tol:.3e}",
                 best,
             )
         heapq.heappop(heap)
@@ -174,6 +181,7 @@ def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANE
         heapq.heappush(heap, (-left_err, u, mid, left_value, left_err))
         heapq.heappush(heap, (-right_err, mid, v, right_value, right_err))
         total_err += left_err + right_err - err
+        drift += _EPS * (left_err + right_err + err + abs(total_err))
     result = _combine([(u, v, value, err) for _, u, v, value, err in heap])
     if not (cmath.isfinite(result.value) and math.isfinite(result.abs_error_estimate)):
         raise ArithmeticError(
@@ -198,29 +206,33 @@ def improper_damped(f, tol, breakpoints=(), degree=L_MAX):
     return integrate_adaptive(f, -cut, cut, tol, breakpoints=[0.0, *inner])
 
 
+def _symbol_transform(symbol, x, tol):
+    """Integral of 2 symbol(t) e^(-ixt) over [-1, 1], on seed panels no
+    wider than pi/|x| so the oscillation is resolved deterministically.
+    The seed count is checked before the seeds are built."""
+    pieces = max(1, math.ceil(2.0 * abs(x) / math.pi))
+    _check_seed_panels(pieces, DEFAULT_MAX_PANELS)
+    seeds = [-1.0 + 2.0 * k / pieces for k in range(1, pieces)]
+    return integrate_adaptive(
+        lambda t: 2.0 * symbol(t) * cmath.exp(complex(0.0, -t * x)),
+        -1.0, 1.0, tol, breakpoints=seeds,
+    ).value
+
+
 def fourier_symbol_oracle(ell, x):
     """Direct quadrature of (1/2 pi) times the Fourier integral of the
     order-ell symbol over [-1, 1].
 
     This is the reference route for the kernel values: nothing here uses
-    the closed forms. The integrand is pre-split into panels no wider
-    than pi/|x| so the oscillation is resolved deterministically, and the
-    imaginary residue (zero in exact arithmetic because the symbol has
-    conjugate symmetry) is checked against 1e-12 before being discarded.
+    the closed forms. The imaginary residue (zero in exact arithmetic
+    because the symbol has conjugate symmetry) is checked against 1e-12
+    before being discarded.
     """
     ell = _check_int("fourier_symbol_oracle", "ell", ell, 0, L_MAX)
     _check_finite("fourier_symbol_oracle", "x", x)
-
-    def g(t):
-        moebius = complex(1.0, t) / complex(1.0, -t)
-        return 2.0 * moebius**ell * cmath.exp(complex(0.0, -t * x))
-
-    width = math.pi / abs(x) if x != 0.0 else 2.0
-    segments = max(1, math.ceil(2.0 / width))
-    _check_seed_panels(segments, DEFAULT_MAX_PANELS)
-    cuts = [-1.0 + 2.0 * i / segments for i in range(1, segments)]
-    result = integrate_adaptive(g, -1.0, 1.0, 1e-13, breakpoints=cuts)
-    value = result.value / (2.0 * math.pi)
+    value = _symbol_transform(
+        lambda t: (complex(1.0, t) / complex(1.0, -t)) ** ell, x, 1e-13
+    ) / (2.0 * math.pi)
     if abs(value.imag) > 1e-12:
         raise ArithmeticError(
             f"fourier_symbol_oracle: imaginary residue {value.imag:.3e} "
@@ -229,92 +241,35 @@ def fourier_symbol_oracle(ell, x):
     return value.real
 
 
-@lru_cache(maxsize=None)
-def _xi_pow_fourth_derivative_numerator(ell):
-    """Integer coefficients, constant term first, of P_4 in
-    f^(4) = P_4(t) (1+t^2)^(-ell-4), f = (1+t^2)^(-ell).
-
-    P_0 = 1 and P_(n+1) = (1+t^2) P_n' - 2 (ell+n) t P_n.
-    """
-    poly = (1,)
-    for n in range(4):
-        step = [0] * (len(poly) + 1)
-        for k in range(1, len(poly)):
-            step[k - 1] += k * poly[k]
-            step[k + 1] += k * poly[k]
-        for k, c in enumerate(poly):
-            step[k + 1] -= 2 * (ell + n) * c
-        poly = tuple(step)
-    return poly
-
-
 def _xi_pow_reference(ell, w):
-    """Quadrature route for the transform of f = (1+t^2)^(-ell),
-    independent of the exponential-polynomial closed form.
+    """Quadrature route for the transform of (1+t^2)^(-ell), independent
+    of the exponential-polynomial closed form.
 
-    The slow t^(-2 ell) decay is handled by moving four derivatives onto
-    f: the integral of f(t) cos(ut) over [0, inf) is u^-4 times that of
-    f^(4)(t) cos(ut), because f'(0) = f'''(0) = 0 and every other
-    boundary term vanishes. With f^(4) = P(t) (1+t^2)^(-ell-4),
-    P = sum_k c_k t^k, and (1+t^2)^(-ell-4) <= t^(-2 ell-8) for t > 0,
-
-        u^-4 int_T^inf |f^(4)| <= u^-4 sum_k |c_k| T^(k-2 ell-7) / (2 ell+7-k),
-
-    and the cut T is placed where that bound is 1e-13. The core runs at
-    tol u^4 / 2, which adds at most tol / sqrt(2 pi) to the result. The
-    u^-4 factor lifts the core's rounding as well, past tol below
-    |w| = 1/4 at some orders, so 0 < |w| < 1/4 is rejected. The w = 0
-    case instead maps the tail to [0, 1/T] by inversion. Every integrand
-    is even in t, so each is integrated over [0, T] only and doubled.
+    Writing (1+t^2)^(-ell) = Gamma(ell)^-1 int_0^inf s^(ell-1)
+    e^(-s (1+t^2)) ds, taking the Gaussian's transform and putting s = v^2
+    gives F(w) = sqrt(2)/Gamma(ell) times the integral over (0, inf) of
+    v^(2 ell-2) exp(-v^2 - w^2/(4 v^2)), that of DLMF 10.32.10. This
+    integrand is positive, does not oscillate and peaks at sqrt(|w|/2);
+    12 past the peak it is below 1e-50 of its maximum, so the interval
+    ends there. The tolerance is scaled by Gamma(ell)/sqrt(2), so F is
+    good to 1e-13 absolute at every finite w.
     """
     ell = _check_int("_xi_pow_reference", "ell", ell, 1, L_MAX)
     _check_finite("_xi_pow_reference", "w", w)
-    tol = 1e-11
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-    u = abs(w)
-    if u == 0.0:
-        cut = 50.0
-        core = integrate_adaptive(lambda t: (1.0 + t * t) ** (-ell), 0.0, cut, tol / 4.0)
-        tail = integrate_adaptive(
-            lambda v: v ** (2 * ell - 2) * (1.0 + v * v) ** (-ell),
-            0.0,
-            1.0 / cut,
-            tol / 4.0,
-        )
-        return norm * 2.0 * (core.value + tail.value)
-    if u < 0.25:
-        raise ValueError(f"_xi_pow_reference: |w| = {u} lies in (0, 1/4)")
-    coeffs = _xi_pow_fourth_derivative_numerator(ell)
-    # The bound is T^(-2 ell-3) times a sum that falls as T grows, so the
-    # sum taken at the cut of its leading term alone gives a cut where the
-    # whole bound holds.
-    power = 2 * ell + 3
-    weights = [abs(c) / (2 * ell + 7 - k) for k, c in enumerate(coeffs)]
-    target = 1e-13 * u**4
-    cut = (weights[4] / target) ** (1.0 / power)
-    cut = (sum(b * cut ** (k - 4) for k, b in enumerate(weights)) / target) ** (1.0 / power)
+    half = 0.5 * abs(w)
+    peak = math.sqrt(half)
 
-    def fourth_derivative(t):
-        numerator = 0.0
-        for c in reversed(coeffs):
-            numerator = numerator * t + c
-        return numerator * (1.0 + t * t) ** (-ell - 4)
+    def integrand(v):
+        if v == 0.0:  # the limit: 1 at ell = 1, w = 0; 0 otherwise
+            return 1.0 if ell == 1 and half == 0.0 else 0.0
+        q = half / v
+        decay = math.exp(-v * v - q * q)
+        # decay is 0 wherever v^(2 ell-2) could overflow (v > 28)
+        return v ** (2 * ell - 2) * decay if decay else 0.0
 
-    spacing = math.pi / u
-    count = int(cut / spacing)
-    # the seeds split [0, cut] into count + 1 panels, or count when the
-    # last one lands on cut itself
-    _check_seed_panels(count + (count * spacing < cut), _XI_POW_MAX_PANELS)
-    seeds = [k * spacing for k in range(1, count + 1)]
-    core = integrate_adaptive(
-        lambda t: fourth_derivative(t) * math.cos(u * t),
-        0.0,
-        cut,
-        tol * u**4 / 2.0,
-        breakpoints=seeds,
-        max_panels=_XI_POW_MAX_PANELS,
-    )
-    return norm * 2.0 * core.value / u**4
+    scale = math.sqrt(2.0) / math.gamma(ell)
+    result = integrate_adaptive(integrand, 0.0, peak + 12.0, 1e-13 / scale, breakpoints=(peak,))
+    return scale * result.value
 
 
 def _poly_symbol_reference(ell, w):
@@ -323,15 +278,9 @@ def _poly_symbol_reference(ell, w):
     sinc-derivative closed form."""
     ell = _check_int("_poly_symbol_reference", "ell", ell, 0, L_MAX)
     _check_finite("_poly_symbol_reference", "w", w)
-
-    def integrand(t):
-        return 2.0 * complex(1.0, t) ** (2 * ell) * cmath.exp(complex(0.0, -t * w))
-
-    pieces = max(1, math.ceil(2.0 * abs(w) / math.pi))
-    _check_seed_panels(pieces, DEFAULT_MAX_PANELS)
-    seeds = [-1.0 + 2.0 * k / pieces for k in range(1, pieces)]
-    result = integrate_adaptive(integrand, -1.0, 1.0, 1e-12, breakpoints=seeds)
-    value = result.value / math.sqrt(2.0 * math.pi)
+    value = _symbol_transform(
+        lambda t: complex(1.0, t) ** (2 * ell), w, 1e-12
+    ) / math.sqrt(2.0 * math.pi)
     if abs(value.imag) > 1e-11:
         raise ArithmeticError(
             f"_poly_symbol_reference: imaginary residue {value.imag:.3e} "

@@ -168,7 +168,9 @@ def _e1_cf_scaled(z):
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < 1e-16:
+        # The doubles next to 1 are 1.1e-16 below and 2.2e-16 above, and
+        # at some large |z| rounding never gives delta == 1.0 exactly.
+        if abs(delta - 1.0) <= 4.5e-16:
             return 1.0 / f
     raise ArithmeticError(
         "e1_scaled: continued fraction failed to converge "

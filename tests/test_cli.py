@@ -436,6 +436,24 @@ def test_kernel_overflow_is_a_numerical_failure(capsys, ell, x, fmt):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "ell, x",
+    [(ell, "1e67") for ell in range(1, 8)]
+    + [(ell, x) for x in ("1e142", "1e157") for ell in (1, 2, 3)],
+)
+def test_closed_kernel_at_huge_x_prints_a_value_or_reports_overflow(capsys, ell, x):
+    # these points used to exhaust the e1 continued fraction (exit 3)
+    code = cli.main(["kernel", "--ell", str(ell), "--method", "closed", "--x", x])
+    captured = capsys.readouterr()
+    if code == 0:
+        row = list(csv.DictReader(io.StringIO(captured.out)))[0]
+        assert math.isfinite(float(row["value"]))
+    else:
+        assert code == 3
+        assert captured.out == ""
+        assert "overflows" in captured.err and "continued fraction" not in captured.err
+
+
 def _reject_constant(name):
     raise ValueError(f"JSON output holds {name}")
 

@@ -148,22 +148,48 @@ def test_every_private_helper_has_a_caller_in_the_package():
 
 
 def test_no_module_binds_a_sibling_name_it_does_not_use():
-    # a name imported from a sibling only to be re-exported gives the
-    # object a second binding, which a patch of the first one misses
+    # an import nothing reads is debris; a name imported from a sibling
+    # only to be re-exported also gives the object a second binding,
+    # which a patch of the first one misses
     unused = []
     for module, tree in _package_trees().items():
         read = {
             node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
-        unused += [
-            f"{module}:{alias.asname or alias.name}"
+        bound = [
+            alias.asname or alias.name.split(".")[0]
             for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level
+            if isinstance(node, (ast.Import, ast.ImportFrom))
             for alias in node.names
-            if (alias.asname or alias.name) not in read
         ]
+        unused += [f"{module}:{name}" for name in bound if name not in read]
     assert unused == []
+
+
+def test_every_private_constant_is_read_in_the_package():
+    # a private module-level name that nothing reads is left over from
+    # the code that used it
+    trees = _package_trees()
+    read = Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    )
+    constants = [
+        (module, target.id)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and target.id.startswith("_")
+        and not target.id.endswith("__")
+    ]
+    assert constants
+    assert [f"{module}:{name}" for module, name in constants if not read[name]] == []
 
 
 def _passes(call, position, name):

@@ -192,6 +192,18 @@ def test_e1_scaled_tail_approaches_one_from_below():
     assert all(v < 1.0 for v in values)
 
 
+def test_e1_scaled_converges_at_large_arguments():
+    # at some large |z| the Lentz ratio stalls one ulp below 1; the stop
+    # test used to need it to reach 1.0 exactly, and ran out of iterations
+    z = complex(-1e30, 1e30)
+    assert abs(e1_scaled(z) - 1.0 / z) <= 1e-15 * abs(1.0 / z)
+    # the kernels' argument -x + ix, out to where x^2 still fits a double
+    for exponent in range(8, 154):
+        z = complex(-(10.0**exponent), 10.0**exponent)
+        want = 1.0 / z - 1.0 / (z * z)
+        assert abs(e1_scaled(z) - want) <= 1e-15 * abs(want), exponent
+
+
 def test_e1_rejects_cut_and_origin():
     for bad in (0.0, -1.0, complex(-5.0, 0.0), complex(0.0, 0.0)):
         with pytest.raises(ValueError):
