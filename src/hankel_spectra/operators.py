@@ -25,12 +25,14 @@ grows only like log N (21 at size 128, 31 at 2048). ``_block_factor``
 factors A by diagonally pivoted Cholesky from its Cauchy generators,
 O(N) a step, so that A ~ L L^T with L of rank r. A square block's
 eigenvalues are those of the r x r Gram matrix L^T L, plus exact zeros.
-U ~ L M^T, M being L without its last row, has the singular values of
-an r x r product B of the R factors of L and M, and [[0, B], [B^T, 0]]
-gives +/- them without squaring them. One QL core solves both. The
-values enter only through the certificate's O(N) check against A, which
-raises ArithmeticError on a miss; the factor's discarded trace plus
-that miss bounds every value's error (Weyl).
+U ~ L M^T, M being L without its last row l, has the singular values
+of the (r + 1) x r matrix [R; l] R^T, R from one Gram-Schmidt pass
+M = Q R; Golub-Kahan bidiagonalization turns it into a zero-diagonal
+tridiagonal of size 2r, whose eigenvalues are +/- them, not squared.
+One QL core solves both. The values enter only through the
+certificate's O(N) check against A, which raises ArithmeticError on a
+miss; the factor's discarded trace plus that miss bounds every value's
+error (Weyl).
 
 Every matrix built here depends only on row + col, so it is stored as its
 2N - 1 anti-diagonal values, the lists ``spectral.truncation_values`` and
@@ -366,26 +368,49 @@ def _gram_schmidt_rows(columns):
     return rows
 
 
+def _bidiagonal_chain(columns):
+    """The 2r - 1 couplings (d_1, f_1, d_2, ..., d_r) of the zero-diagonal
+    tridiagonal of size 2r whose eigenvalues are +/- the singular values
+    of the (r + 1) x r matrix with these columns: Golub-Kahan
+    bidiagonalization (SIAM J. Numer. Anal. B 2, 1965) by Householder
+    reflections from both sides. A step reflects the last column onto its
+    last row, giving d, and transposes the rest, so that the next step
+    reflects that row onto its last column, giving f: the bidiagonal is
+    built from the bottom right corner, one side per step."""
+    vectors = list(columns)
+    chain = []
+    while vectors:
+        reflection = _reflector(vectors.pop())
+        if reflection is None:
+            chain.append(0.0)
+        else:
+            u, h, beta = reflection
+            chain.append(beta)
+            for i, x in enumerate(vectors):
+                t = sum(map(mul, x, u)) / h
+                vectors[i] = [v - t * w for v, w in zip(x, u)]
+        vectors = list(zip(*vectors))
+    return chain
+
+
 def _block_singular_values(values, cols, sign, p):
     """Singular values, ascending, of the (cols + 1) x cols parity block
     with anti-diagonal values ``values[:2 cols]``, and the Weyl bound on
     their miss. The block is close to L M^T (``_block_factor``; M is L
-    without its last row), whose singular values are those of B = R1 R2^T,
-    R1 and R2 the R factors of L and M; the core [[0, B], [B^T, 0]] gives
-    +/- them. L M^T has rank at most cols, so the cols largest are kept,
-    padded with exact zeros below rank r.
+    without its last row l). One Gram-Schmidt pass gives M = Q R, so
+    L M^T = [Q R; l] R^T Q^T has the singular values of the (r + 1) x r
+    matrix C = [R; l] R^T, and QL solves C's Golub-Kahan chain
+    (``_bidiagonal_chain``) for +/- them. L M^T has rank at most cols, so
+    the cols largest are kept, padded with exact zeros below rank r.
     """
     columns, bound = _block_factor(values, cols + 1, sign, p)
     r = len(columns)
-    left = _gram_schmidt_rows(columns)
-    right = _gram_schmidt_rows([column[:-1] for column in columns])
-    b = [[sum(map(mul, x, y)) for y in right] for x in left]
-    # the lower triangle of [[0, B], [B^T, 0]]; read as reversed, it is
-    # that matrix permuted, with the same eigenvalues
-    pm = _reversed_eigenvalues(
-        [[0.0] * (i + 1) for i in range(r)]
-        + [[*column, *[0.0] * (j + 1)] for j, column in enumerate(zip(*b))]
-    )
+    upper = _gram_schmidt_rows([column[:-1] for column in columns])
+    last = [column[-1] for column in columns]
+    chain = _bidiagonal_chain([[sum(map(mul, x, y)) for x in (*upper, last)] for y in upper])
+    # the chain starts at C's small end, which pivot order puts last; QL
+    # given the large end first measured closer to exact SVDs
+    pm = sorted(_tridiagonal_eigenvalues([0.0] * (2 * r), [0.0, *reversed(chain)]))
     # sigma from each +/- pair: >= 0 and ascending however they round
     sigma = [(plus - minus) / 2.0 for minus, plus in zip(reversed(pm[:r]), pm[r:])]
     return [0.0] * (cols - r) + sigma[max(r - cols, 0) :], bound

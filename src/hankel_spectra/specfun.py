@@ -19,10 +19,13 @@ SINC_ORDER_MAX = 2 * L_MAX + 4
 
 # |z| below which the Ein power series is used for E1; beyond it the
 # continued fraction takes over, except close to the cut where the
-# continued fraction degrades and the series stays accurate.
+# continued fraction degrades: there the series serves |z| < 40 and the
+# asymptotic series, whose smallest term is below 1e-16 relative from
+# |z| = 40 on, serves the rest.
 _SERIES_RADIUS = 12.0
 _SERIES_RADIUS_POS = 4.0
 _WIDE_ARG = 5.0 * math.pi / 6.0
+_ASYMPTOTIC_RADIUS = 40.0
 _CF_MAX_ITER = 400
 _SERIES_MAX_ITER = 2000
 
@@ -122,16 +125,20 @@ def _on_cut(z):
     return z.imag == 0.0 and z.real <= 0.0
 
 
-def _use_series(z):
+def _scaled_route(z):
+    # None where the series serves, else the function giving e^z E1(z).
     # In the right half-plane E1 decays like e^(-Re z) while the absolute
     # noise of the alternating series grows like e^|z| ulp, so the series
     # sector must stay small there; with Re z <= 0 the result is never
-    # exponentially small and the series stays accurate out to radius 12.
+    # exponentially small and the series stays accurate out to radius 12,
+    # and to radius 40 in the wide-argument sector.
     if abs(z) <= _SERIES_RADIUS_POS:
-        return True
+        return None
     if z.real <= 0.0 and abs(z) <= _SERIES_RADIUS:
-        return True
-    return abs(cmath.phase(z)) > _WIDE_ARG
+        return None
+    if abs(cmath.phase(z)) > _WIDE_ARG:
+        return None if abs(z) < _ASYMPTOTIC_RADIUS else _e1_asymptotic_scaled
+    return _e1_cf_scaled
 
 
 def _ein_series(z):
@@ -178,26 +185,61 @@ def _e1_cf_scaled(z):
     )
 
 
+def _e1_asymptotic_scaled(z):
+    # e^z E1(z) ~ sum_k (-1)^k k! / z^(k+1), summed while its terms shrink
+    # and still change the sum
+    term = total = 1.0 / z
+    k = 1
+    while True:
+        step = -k * term / z
+        if abs(step) >= abs(term) or total + step == total:
+            return total
+        total += step
+        term = step
+        k += 1
+
+
+def _unscaled(name, z, scaled):
+    # E1(z) = e^(-z) * scaled, e^(-z) taken in two halves so that no
+    # intermediate overflows where E1 itself fits a double
+    try:
+        half = cmath.exp(-0.5 * z)
+    except OverflowError:
+        half = complex(math.inf)
+    value = half * scaled * half
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{name}: the value at z = {z!r} exceeds the double range")
+    return value
+
+
 def ein(z):
-    """Entire complementary exponential integral Ein(z)."""
+    """Entire complementary exponential integral Ein(z).
+
+    Raises OverflowError where |Ein(z)| exceeds the double range.
+    """
     _check_finite("ein", "z", z)
     z = complex(z)
-    if _use_series(z):
+    route = _scaled_route(z)
+    if route is None:
         return _ein_series(z)
-    # Off the cut and away from the origin: recover Ein from the scaled
-    # continued fraction through E1 = Ein - log - gamma.
-    return cmath.exp(-z) * _e1_cf_scaled(z) + cmath.log(z) + EULER_GAMMA
+    # Off the cut and away from the origin: recover Ein from e^z E1(z)
+    # through E1 = Ein - log - gamma.
+    return _unscaled("ein", z, route(z)) + cmath.log(z) + EULER_GAMMA
 
 
 def e1(z):
-    """Principal-branch exponential integral E1(z), z not on (-inf, 0]."""
+    """Principal-branch exponential integral E1(z), z not on (-inf, 0].
+
+    Raises OverflowError where |E1(z)| exceeds the double range.
+    """
     _check_finite("e1", "z", z)
     z = complex(z)
     if _on_cut(z):
         raise ValueError(f"e1: {z!r} lies on the branch cut (-inf, 0]")
-    if _use_series(z):
+    route = _scaled_route(z)
+    if route is None:
         return _ein_series(z) - cmath.log(z) - EULER_GAMMA
-    return cmath.exp(-z) * _e1_cf_scaled(z)
+    return _unscaled("e1", z, route(z))
 
 
 def e1_scaled(z):
@@ -206,11 +248,12 @@ def e1_scaled(z):
     z = complex(z)
     if _on_cut(z):
         raise ValueError(f"e1_scaled: {z!r} lies on the branch cut (-inf, 0]")
-    if _use_series(z):
+    route = _scaled_route(z)
+    if route is None:
         # in the series sector either |z| <= 4 (exp bounded by e^4) or
         # Re z <= 0 (exp only shrinks the series result)
         return cmath.exp(z) * (_ein_series(z) - cmath.log(z) - EULER_GAMMA)
-    return _e1_cf_scaled(z)
+    return route(z)
 
 
 # Stirling series coefficients B_2k / (2k (2k-1)) for k = 1..8.

@@ -241,19 +241,43 @@ def test_spectrum_of_an_indefinite_block_exits_three(monkeypatch, capsys):
     ],
 )
 def test_spectrum_at_the_size_cap_runs_in_seconds(ell, size):
+    result = _run_module("spectrum", "--ell", str(ell), "--size", str(size))
+    assert result.returncode == 0
+    rows = result.stdout.splitlines()[1:-1]
+    assert len(rows) == size
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+
+
+def _run_module(*argv):
+    """``python -m hankel_spectra`` with these arguments in a fresh
+    process, reading the package from this checkout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-m", "hankel_spectra", "spectrum", "--ell", str(ell), "--size", str(size)],
+    return subprocess.run(
+        [sys.executable, "-m", "hankel_spectra", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
-    assert result.returncode == 0
-    rows = result.stdout.splitlines()[1:-1]
-    assert len(rows) == size
-    assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_odd_order_at_odd_size_prints_an_exactly_symmetric_spectrum(fmt):
+    # ell 7 at N = 181 reads +/- the singular values of the 91 x 90 block U
+    argv = ("spectrum", "--ell", "7", "--size", "181", "--format", fmt)
+    first, second = (_run_module(*argv) for _ in range(2))
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+    if fmt == "json":
+        texts = re.findall(r"^    (\S+?),?$", first.stdout, re.MULTILINE)
+        assert json.loads(first.stdout)["eigenvalues"] == [float(text) for text in texts]
+    else:
+        texts = [row.split(",")[1] for row in first.stdout.splitlines()[1:-1]]
+    assert len(texts) == 181 and texts[90] == "0.0"
+    assert "-0.0" not in texts
+    values = [float(text) for text in texts]
+    assert values == sorted(values) and values == [0.0 - v for v in reversed(values)]
 
 
 def test_blocks_applies_the_size_cap_to_twice_the_size(capsys):

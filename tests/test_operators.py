@@ -474,19 +474,25 @@ def test_spectrum_report_blocks_match_the_full_solve(ell, n):
         (2, 1, [("_square_block_eigenvalues", 1)]),
         (0, 1024, [("_square_block_eigenvalues", 512), ("_square_block_eigenvalues", 512)]),
         (3, 1024, [("_square_block_eigenvalues", 512)]),
+        (7, 181, [("_block_singular_values", (91, 90))]),
     ],
 )
 def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
     # one pivoted factor per block, then one QL core: the r x r Gram
-    # matrix of a square block, given by one triangle, or the size-2r
-    # [[0, B], [B^T, 0]] of the (k + 1) x k block U at odd N; symm_eigen
-    # never runs
+    # matrix of a square block, given by one triangle and tridiagonalized,
+    # or, for the (k + 1) x k block U at odd N, one Gram-Schmidt pass and
+    # the Golub-Kahan chain of an (r + 1) x r matrix, a tridiagonal of
+    # size 2r; symm_eigen never runs
     calls = []
     for name, shape in (
         ("_square_block_eigenvalues", lambda values, rows, sign, p: rows),
         ("_block_singular_values", lambda values, cols, sign, p: (cols + 1, cols)),
         ("_block_factor", lambda values, rows, sign, p: rows),
         ("_reversed_eigenvalues", lambda low: (len(low), len(low[-1]))),
+        ("_tridiagonalize", len),
+        ("_gram_schmidt_rows", len),
+        ("_bidiagonal_chain", lambda columns: (len(columns[0]), len(columns))),
+        ("_tridiagonal_eigenvalues", lambda d, e: len(d)),
         ("symm_eigen", np.shape),
     ):
         solve = getattr(op, name)
@@ -497,16 +503,22 @@ def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
 
         monkeypatch.setattr(op, name, recording)
     op.spectrum_report(ell, n)
-    inner = ("_block_factor", "_reversed_eigenvalues")
-    assert [call for call in calls if call[0] not in inner] == shapes
-    assert len(calls) == 3 * len(shapes)
-    for start in range(0, len(calls), 3):
-        (name, rows), (_, factor), (core_name, core) = calls[start : start + 3]
-        assert core_name == "_reversed_eigenvalues" and core[0] == core[1]
+    outer = ("_square_block_eigenvalues", "_block_singular_values")
+    assert [call for call in calls if call[0] in outer] == shapes
+    assert len(calls) == 5 * len(shapes)
+    for start in range(0, len(calls), 5):
+        (name, rows), (_, factor), *core = calls[start : start + 5]
+        names, sizes = zip(*core)
         if name == "_square_block_eigenvalues":
-            assert factor == rows and core[0] <= min(rows, 25)
+            assert names == ("_reversed_eigenvalues", "_tridiagonalize", "_tridiagonal_eigenvalues")
+            (r, width), tridiagonal, eigenvalues = sizes
+            assert factor == rows and r == width == tridiagonal == eigenvalues
+            assert r <= min(rows, 25)
         else:
-            assert factor == rows[0] and core[0] % 2 == 0 and core[0] <= 2 * min(factor, 25)
+            assert names == ("_gram_schmidt_rows", "_bidiagonal_chain", "_tridiagonal_eigenvalues")
+            r, chain, eigenvalues = sizes
+            assert factor == rows[0] and chain == (r + 1, r) and eigenvalues == 2 * r
+            assert r <= min(factor, 25)
 
 
 def _parity_blocks(ell, n):
@@ -666,6 +678,46 @@ def test_odd_block_matches_an_exact_svd(ell, n):
         want = sorted(float(v) for v in mpmath.svd_r(model, compute_uv=False))
     miss = max(abs(x - y) for x, y in zip(got, want))
     assert miss <= bound + 4.0 * np.finfo(float).eps * want[-1], (miss, bound)
+
+
+def _chain_singular_values(matrix):
+    """Singular values, descending, of the upper bidiagonal that
+    ``_bidiagonal_chain`` makes of ``matrix``, by LAPACK and by the
+    package's QL on the size-2r tridiagonal, after checking the chain."""
+    r = matrix.shape[1]
+    chain = op._bidiagonal_chain(matrix.T.tolist())
+    assert len(chain) == 2 * r - 1 and all(map(math.isfinite, chain))
+    bidiagonal = np.diag(chain[0::2]) + np.diag(chain[1::2], 1)
+    pm = sorted(op._tridiagonal_eigenvalues([0.0] * (2 * r), [0.0, *chain]))
+    return np.linalg.svd(bidiagonal, compute_uv=False), np.array(pm[r:][::-1])
+
+
+@pytest.mark.parametrize("r", range(1, 41))
+def test_bidiagonal_chain_keeps_the_singular_values(r):
+    matrix = np.random.default_rng(r).standard_normal((r + 1, r))
+    want = np.linalg.svd(matrix, compute_uv=False)
+    # the reflections' rounding grows with r: 9 eps at most up to r = 40
+    tolerance = 16.0 * np.finfo(float).eps * want[0]
+    lapack, ql = _chain_singular_values(matrix)
+    assert np.max(np.abs(lapack - want)) <= tolerance
+    assert np.max(np.abs(ql - want)) <= tolerance
+
+
+@pytest.mark.parametrize("case", ["zero column", "equal columns", "zero matrix"])
+@pytest.mark.parametrize("r", [1, 2, 7])
+def test_bidiagonal_chain_of_a_rank_deficient_matrix(case, r):
+    # a column that is zero, or becomes zero, gives a zero reflector
+    matrix = np.random.default_rng(100 + r).standard_normal((r + 1, r))
+    if case == "zero column":
+        matrix[:, r // 2] = 0.0
+    elif case == "equal columns":
+        matrix[:, -1] = matrix[:, 0]
+    else:
+        matrix[:] = 0.0
+    want = np.linalg.svd(matrix, compute_uv=False)
+    tolerance = 4.0 * np.finfo(float).eps * max(want[0], np.finfo(float).tiny)
+    for got in _chain_singular_values(matrix):
+        assert np.max(np.abs(got - want)) <= tolerance, got
 
 
 @pytest.mark.parametrize("ell, n", [(1, 4095), (7, 4095), (3, 2047)])

@@ -170,6 +170,43 @@ def test_e1_is_continuous_across_the_wide_argument_sector(radius, sign):
 
 
 @given(
+    theta=st.floats(1.001 * 5.0 * math.pi / 6, math.pi * (1.0 - 1e-15)),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_e1_is_continuous_across_radius_40(theta, sign):
+    # in the wide-argument sector the series serves |z| < 40 and the
+    # asymptotic series the rest
+    ray = cmath.exp(1j * sign * theta)
+    _assert_continuous_across(40.0 * (1.0 - _SIDE) * ray, 40.0 * (1.0 + _SIDE) * ray)
+
+
+_WIDE_RAYS = [sign * arg for arg in (12.0 * math.pi / 13.0, math.pi - 1e-12) for sign in (1, -1)]
+_WIDE_RADII = [13.0, 20.0, 39.9, 40.0, 60.0, 100.0, 300.0, 712.0, 720.0, 740.0, 1e3, 1e4, 1e6, 1e15, 1e30]
+
+
+@pytest.mark.parametrize("arg", _WIDE_RAYS)
+def test_e1_matches_mpmath_far_out_in_the_wide_argument_sector(arg):
+    # e^z E1(z) is about 1/z out there; e1 and ein overflow a double
+    # from about |z| = 730 on, and must say so rather than return inf or nan
+    with mp.workdps(40):
+        for r in _WIDE_RADII:
+            z = r * cmath.exp(1j * arg)
+            e1_z = mp.e1(mp.mpc(z))
+            for f, want in (
+                (e1_scaled, mp.exp(mp.mpc(z)) * e1_z),
+                (e1, e1_z),
+                (ein, e1_z + mp.log(mp.mpc(z)) + mp.euler),
+            ):
+                if float(abs(want)) == math.inf:
+                    with pytest.raises(OverflowError, match=f"^{f.__name__}: "):
+                        f(z)
+                    continue
+                got = f(z)
+                assert abs(got - want) <= 2e-15 * abs(want), (f.__name__, r, arg)
+
+
+@given(
     n=st.integers(min_value=1, max_value=SINC_ORDER_MAX),
     sign=st.sampled_from((1.0, -1.0)),
     gap=st.floats(0.0, 1e-9),
