@@ -29,6 +29,7 @@ _EXPORTS = {
     "operators": (
         "HankelTruncation",
         "HilbertTypeMatrix",
+        "Spectrum",
         "SpectrumReport",
         "hankel_truncation",
         "hilbert_type",

@@ -44,9 +44,12 @@ floats, while a size-N matrix costs N^2 row pointers, about 134 MB at the
 cap, and any dense use of it (``symm_eigen``, ``numpy.asarray``) more.
 
 The three records are ``collections.namedtuple`` types whose fields are
-numbers, bools and tuples (``SpectrumReport`` holds its eigenvalues as
-an ``array.array("d")``, 8 bytes a value), so all three compare by value;
-``HankelTruncation`` and ``HilbertTypeMatrix`` also hash by value.
+numbers, bools and tuples, or for ``SpectrumReport``'s eigenvalues a
+``Spectrum``, so all three compare by value; ``HankelTruncation`` and
+``HilbertTypeMatrix`` also hash by value. A spectrum of size N is at
+most 2r nonzero values and exact zeros (r at most 31 up to the size
+cap), so a ``Spectrum`` keeps 8 bytes for each nonzero value and one
+count for the zeros: a report costs the same few hundred bytes at any N.
 
 This module imports only the standard library, ``specfun`` and
 ``spectral``; ``symm_eigen`` reads any sequence of rows, a NumPy array
@@ -57,9 +60,12 @@ coefficients are bound in ``spectral`` alone; callers reach them there.
 import math
 import sys
 from array import array
+from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain, zip_longest
-from operator import mul, sub, truediv
+from collections.abc import Sequence
+from itertools import chain, islice, repeat, zip_longest
+from operator import index as _as_index
+from operator import le, mul, sub, truediv
 
 from .specfun import L_MAX, _check_finite, _check_int
 from .spectral import MAX_TRUNCATION_SIZE as _MAX_SIZE, _block_deviation, block_parameters
@@ -79,10 +85,78 @@ HankelTruncation = namedtuple("HankelTruncation", "ell size entries")
 # p a float, size an int, alternating a bool, entries as above
 HilbertTypeMatrix = namedtuple("HilbertTypeMatrix", "p size alternating entries")
 
-# eigenvalues an ascending array("d"), the other four floats
+# eigenvalues an ascending Spectrum, the other four floats
 SpectrumReport = namedtuple(
     "SpectrumReport", "eigenvalues min max containment_violation coverage_gap"
 )
+
+
+class Spectrum(Sequence):
+    """An ascending sequence of floats held as its nonzero values and the
+    number of exact zeros between the negative and the positive ones.
+
+    It reads as the whole sequence: ``len``, indexing, slicing (to a
+    list), iteration both ways, ``tolist`` and ``numpy.asarray``. Zeros
+    read as 0.0, never -0.0. Two spectra are equal when their values are;
+    a spectrum is unhashable. Values out of ascending order raise
+    ValueError.
+    """
+
+    __slots__ = ("_nonzero", "_negative", "_size")
+
+    def __init__(self, ascending):
+        values = list(ascending)
+        if not all(map(le, values, islice(values, 1, None))):
+            raise ValueError("Spectrum: values must be ascending and not nan")
+        self._nonzero = array("d", [v for v in values if v])
+        self._negative = bisect_left(self._nonzero, 0.0)
+        self._size = len(values)
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.tolist()[index]
+        i = _as_index(index)
+        if i < 0:
+            i += self._size
+        if not 0 <= i < self._size:
+            raise IndexError("spectrum index out of range")
+        zeros = self._size - len(self._nonzero)
+        if i < self._negative:
+            return self._nonzero[i]
+        if i < self._negative + zeros:
+            return 0.0
+        return self._nonzero[i - zeros]
+
+    def __iter__(self):
+        zeros = self._size - len(self._nonzero)
+        return chain(
+            islice(self._nonzero, self._negative),
+            repeat(0.0, zeros),
+            islice(self._nonzero, self._negative, None),
+        )
+
+    def __reversed__(self):
+        return reversed(self.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return (self._size, self._negative, self._nonzero) == (
+            other._size,
+            other._negative,
+            other._nonzero,
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Spectrum({self.tolist()!r})"
+
+    def tolist(self):
+        return list(self)
 
 
 def _hankel_rows(values, n):
@@ -417,8 +491,8 @@ def _block_singular_values(values, cols, sign, p):
 
 
 def _truncation_eigenvalues(ell, n):
-    """Ascending eigenvalues of the order-ell, size-n truncation, solved
-    through its parity blocks."""
+    """Ascending eigenvalues of the order-ell, size-n truncation, as a
+    list, solved through its parity blocks."""
     values = truncation_values(ell, n)
     (sign, p), (other_sign, other_p) = block_parameters(ell)
     if ell % 2 == 0:
@@ -427,14 +501,14 @@ def _truncation_eigenvalues(ell, n):
         if n > 1:
             odd, _ = _square_block_eigenvalues(values[2::2], n - half, other_sign, other_p)
             eigenvalues += odd
-        return array("d", sorted(eigenvalues))
+        return sorted(eigenvalues)
     # 0.0 - v, not -v, keeps the exact zeros from turning into -0.0
     if n % 2 == 0:
         half, _ = _square_block_eigenvalues(values[1::2], n // 2, sign, p)
-        return array("d", sorted([*half, *(0.0 - v for v in half)]))
+        return sorted([*half, *(0.0 - v for v in half)])
     k = n // 2  # at N = 1, U has no values
     sigma = _block_singular_values(values[1::2], k, sign, p)[0] if k else []
-    return array("d", [*(0.0 - s for s in reversed(sigma)), 0.0, *sigma])
+    return [*(0.0 - s for s in reversed(sigma)), 0.0, *sigma]
 
 
 def spectrum_report(ell, n):
@@ -453,6 +527,8 @@ def spectrum_report(ell, n):
     only through the certificate's check against that model: a block
     that misses it raises ArithmeticError. The odd-ell spectrum is
     exactly symmetric (v[i] == -v[N-1-i]), with v[k] == 0.0 at odd N.
+    The report holds the eigenvalues as a ``Spectrum``: the nonzero
+    values and the number of zeros.
     """
     ell = _check_int("spectrum_report", "ell", ell, 0, L_MAX)
     n = _check_int("spectrum_report", "n", n, 1, _MAX_SIZE)
@@ -466,7 +542,7 @@ def spectrum_report(ell, n):
         if clipped > gap:
             gap = clipped
     return SpectrumReport(
-        eigenvalues=eigenvalues,
+        eigenvalues=Spectrum(eigenvalues),
         min=low,
         max=high,
         containment_violation=violation,

@@ -596,6 +596,61 @@ def test_a_block_value_moved_by_1e_12_is_a_numerical_failure(ell, n, index, dire
             op._square_block_eigenvalues(moved, rows, sign, p)
 
 
+@pytest.mark.parametrize("ell, n", [(0, 1), (1, 1), (1, 2), (2, 7), (3, 45), (4, 64), (7, 181)])
+def test_spectrum_reads_as_the_full_ascending_sequence(ell, n):
+    want = op._truncation_eigenvalues(ell, n)
+    got = op.spectrum_report(ell, n).eigenvalues
+    assert isinstance(got, op.Spectrum)
+    assert len(got) == n
+    assert list(got) == got.tolist() == want
+    assert [got[i] for i in range(-n, n)] == want + want
+    assert got[1:-1] == want[1:-1] and got[::-3] == want[::-3]
+    assert list(reversed(got)) == want[::-1]
+    assert np.asarray(got).tolist() == want
+    assert got.count(0.0) == want.count(0.0)
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            got[bad]
+    with pytest.raises(TypeError):
+        got[0.0]
+
+
+def test_spectrum_compares_by_value_and_drops_negative_zeros():
+    spectrum = op.Spectrum([-2.0, -0.0, 0.0, 0.0, 3.0])
+    assert spectrum.tolist() == [-2.0, 0.0, 0.0, 0.0, 3.0]
+    assert all(math.copysign(1.0, v) > 0.0 for v in spectrum if v == 0.0)
+    assert spectrum == op.Spectrum([-2.0, 0.0, 0.0, 0.0, 3.0])
+    assert spectrum != op.Spectrum([-2.0, 0.0, 0.0, 3.0])
+    assert spectrum != op.Spectrum([-2.0, -1.0, 0.0, 0.0, 3.0])
+    assert spectrum != [-2.0, 0.0, 0.0, 0.0, 3.0]
+    assert op.spectrum_report(3, 45) == op.spectrum_report(3, 45)
+    with pytest.raises(TypeError):
+        hash(spectrum)
+    with pytest.raises(AttributeError):
+        spectrum.extra = 1
+    assert op.Spectrum([]).tolist() == []
+    for bad in ([-2.0, 0.0, 3.0, 0.0], [0.0, math.nan]):
+        with pytest.raises(ValueError, match="ascending"):
+            op.Spectrum(bad)
+
+
+@pytest.mark.parametrize("ell", [1, 4])
+def test_spectrum_report_holds_a_few_hundred_bytes_at_any_size(ell):
+    # a report keeps the at most 2r nonzero values and a count of the
+    # zeros, not N doubles: 16 KB at N = 2048 as an array("d")
+    for n in (255, 2048):
+        op.spectrum_report(ell, n)
+        tracemalloc.start()
+        try:
+            report = op.spectrum_report(ell, n)
+            held = tracemalloc.get_traced_memory()[0]
+            del report
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1024, (n, held)
+
+
 def test_spectrum_report_has_no_negative_zeros():
     for ell in range(9):
         for n in range(1, 65):
