@@ -9,13 +9,10 @@ QL (EISPACK ``tred1`` and ``imtql1``; Golub & Van Loan, *Matrix
 Computations*, 8.3) in plain Python on lists of rows.
 
 ``spectrum_report`` solves the parity blocks that the certificates prove,
-not the whole truncation. Entry (row, col) vanishes unless row + col + l
-is even, so after the permutation that lists even coordinates first the
-truncation is block diagonal for even l (two half-size blocks), and for
-odd l it is [[0, U], [U^T, 0]] with U = entries[0::2, 1::2], whose
-eigenvalues are +/- the singular values of U, plus one 0 at odd N, so
-the spectrum is exactly symmetric under negation. At even N, U is
-square and symmetric, and its eigenvalues and their negatives give them.
+not the whole truncation, in one loop over their table in ``spectral``:
+for even l two square blocks, for odd l the block U of [[0, U], [U^T, 0]],
+whose eigenvalues are +/- the singular values of U, plus one 0 at odd N,
+so the spectrum is exactly symmetric under negation.
 
 Every parity block is, conjugated by the sign checkerboard and by its
 ``block_parameters`` sign, the positive definite Cauchy matrix
@@ -53,8 +50,9 @@ count for the zeros: a report costs the same few hundred bytes at any N.
 
 This module imports only the standard library, ``specfun`` and
 ``spectral``; ``symm_eigen`` reads any sequence of rows, a NumPy array
-from a caller too, row by row. The block certificates and the
-coefficients are bound in ``spectral`` alone; callers reach them there.
+from a caller too, row by row. The block certificates, the (sign, p)
+table and the coefficients are bound in ``spectral`` alone; callers
+reach them there.
 """
 
 import math
@@ -68,7 +66,7 @@ from operator import index as _as_index
 from operator import le, mul, sub, truediv
 
 from .specfun import L_MAX, _check_finite, _check_int
-from .spectral import MAX_TRUNCATION_SIZE as _MAX_SIZE, _block_deviation, block_parameters
+from .spectral import MAX_TRUNCATION_SIZE as _MAX_SIZE, _block_deviation, _parity_blocks
 from .spectral import hilbert_type_values, truncation_values
 
 # QL iterations allowed per eigenvalue, as in EISPACK
@@ -106,7 +104,8 @@ class Spectrum(Sequence):
 
     def __init__(self, ascending):
         values = list(ascending)
-        if not all(map(le, values, islice(values, 1, None))):
+        # the first value meets itself too, so a lone nan fails as well
+        if not all(map(le, chain(values[:1], values), values)):
             raise ValueError("Spectrum: values must be ascending and not nan")
         self._nonzero = array("d", [v for v in values if v])
         self._negative = bisect_left(self._nonzero, 0.0)
@@ -279,8 +278,8 @@ def _tridiagonal_eigenvalues(d, e):
                 break
             if iteration == _QL_MAX_ITERATIONS:
                 raise RuntimeError(
-                    f"symm_eigen: QL did not converge in {_QL_MAX_ITERATIONS} "
-                    f"iterations for eigenvalue {start}"
+                    f"tridiagonal QL of size {n} did not converge in "
+                    f"{_QL_MAX_ITERATIONS} iterations for eigenvalue {start}"
                 )
             g = (d[start + 1] - d[start]) / (2.0 * e[start])
             r = math.hypot(g, 1.0)
@@ -492,23 +491,16 @@ def _block_singular_values(values, cols, sign, p):
 
 def _truncation_eigenvalues(ell, n):
     """Ascending eigenvalues of the order-ell, size-n truncation, as a
-    list, solved through its parity blocks."""
-    values = truncation_values(ell, n)
-    (sign, p), (other_sign, other_p) = block_parameters(ell)
-    if ell % 2 == 0:
-        half = (n + 1) // 2
-        eigenvalues, _ = _square_block_eigenvalues(values[0::2], half, sign, p)
-        if n > 1:
-            odd, _ = _square_block_eigenvalues(values[2::2], n - half, other_sign, other_p)
-            eigenvalues += odd
-        return sorted(eigenvalues)
-    # 0.0 - v, not -v, keeps the exact zeros from turning into -0.0
-    if n % 2 == 0:
-        half, _ = _square_block_eigenvalues(values[1::2], n // 2, sign, p)
-        return sorted([*half, *(0.0 - v for v in half)])
-    k = n // 2  # at N = 1, U has no values
-    sigma = _block_singular_values(values[1::2], k, sign, p)[0] if k else []
-    return [*(0.0 - s for s in reversed(sigma)), 0.0, *sigma]
+    list, solved through its parity blocks (``spectral._parity_blocks``)."""
+    eigenvalues = []
+    for values, rows, cols, sign, p in _parity_blocks(ell, truncation_values(ell, n)):
+        if cols:  # N = 1 leaves one block empty
+            solve = _square_block_eigenvalues if rows == cols else _block_singular_values
+            eigenvalues += solve(values, cols, sign, p)[0]
+    if ell % 2:
+        # +/- those of U, a 0 at odd N; 0.0 - v keeps zeros from -0.0
+        eigenvalues += [0.0 - v for v in eigenvalues] + [0.0] * (n % 2)
+    return sorted(eigenvalues)
 
 
 def spectrum_report(ell, n):
@@ -517,18 +509,16 @@ def spectrum_report(ell, n):
     clipped to [-0.95, 0.95].
 
     The eigenvalues come from the parity blocks (see the module
-    docstring): for even ell, the two square blocks of sizes ceil(N/2)
-    and floor(N/2); for odd ell, the square block U of size N/2 and its
-    negation at even N, and at odd N = 2k + 1 +/- the singular values of
-    the (k + 1) x k block U and one 0. Each block is read from one
-    pivoted Cholesky factor of rank r (at most 31 up to the size cap) of
-    its model (1/pi) H_p and one QL solve of size r or 2r; the other
-    values are exact zeros, printed as 0.0, never -0.0. The values enter
-    only through the certificate's check against that model: a block
-    that misses it raises ArithmeticError. The odd-ell spectrum is
-    exactly symmetric (v[i] == -v[N-1-i]), with v[k] == 0.0 at odd N.
-    The report holds the eigenvalues as a ``Spectrum``: the nonzero
-    values and the number of zeros.
+    docstring): for even ell those of its two square blocks, for odd ell
+    +/- the singular values of its block U, and one 0 at odd N = 2k + 1.
+    Each block is read from one pivoted Cholesky factor of rank r (at
+    most 31 up to the size cap) of its model (1/pi) H_p and one QL solve
+    of size r or 2r; the other values are exact zeros, printed as 0.0,
+    never -0.0. The values enter only through the certificate's check
+    against that model: a block that misses it raises ArithmeticError.
+    The odd-ell spectrum is exactly symmetric (v[i] == -v[N-1-i]), with
+    v[k] == 0.0 at odd N. The report holds the eigenvalues as a
+    ``Spectrum``: the nonzero values and the number of zeros.
     """
     ell = _check_int("spectrum_report", "ell", ell, 0, L_MAX)
     n = _check_int("spectrum_report", "n", n, 1, _MAX_SIZE)

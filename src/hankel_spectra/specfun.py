@@ -51,14 +51,17 @@ def _check_int(name, label, value, low, high=None):
     return number
 
 
-def _check_finite(name, label, value):
-    """value must be a finite real or complex number."""
+def _check_finite(name, label, value, complex_domain=False):
+    """value must be a finite real number, NumPy floats too, or a finite
+    real or complex one where ``complex_domain`` is set."""
+    isfinite = cmath.isfinite if complex_domain else math.isfinite
     try:
-        finite = cmath.isfinite(value)
+        finite = isfinite(value) and (complex_domain or not getattr(value, "imag", 0))
     except TypeError:
         finite = False
     if not finite:
-        raise ValueError(f"{name}: {label} = {value!r} must be finite")
+        kind = "" if complex_domain else " and real"
+        raise ValueError(f"{name}: {label} = {value!r} must be finite{kind}")
 
 
 def _sinc(x):
@@ -217,7 +220,7 @@ def ein(z):
 
     Raises OverflowError where |Ein(z)| exceeds the double range.
     """
-    _check_finite("ein", "z", z)
+    _check_finite("ein", "z", z, complex_domain=True)
     z = complex(z)
     route = _scaled_route(z)
     if route is None:
@@ -232,7 +235,7 @@ def e1(z):
 
     Raises OverflowError where |E1(z)| exceeds the double range.
     """
-    _check_finite("e1", "z", z)
+    _check_finite("e1", "z", z, complex_domain=True)
     z = complex(z)
     if _on_cut(z):
         raise ValueError(f"e1: {z!r} lies on the branch cut (-inf, 0]")
@@ -244,7 +247,7 @@ def e1(z):
 
 def e1_scaled(z):
     """exp(z) * E1(z) without forming exp(z), z not on (-inf, 0]."""
-    _check_finite("e1_scaled", "z", z)
+    _check_finite("e1_scaled", "z", z, complex_domain=True)
     z = complex(z)
     if _on_cut(z):
         raise ValueError(f"e1_scaled: {z!r} lies on the branch cut (-inf, 0]")
@@ -337,7 +340,7 @@ def damped_moment_shifted(n, a, x):
     e1_scaled. Requires Re a > 0 and x > 0.
     """
     n = _check_int("damped_moment_shifted", "n", n, 0)
-    _check_finite("damped_moment_shifted", "a", a)
+    _check_finite("damped_moment_shifted", "a", a, complex_domain=True)
     _check_finite("damped_moment_shifted", "x", x)
     a = complex(a)
     if a.real <= 0.0:

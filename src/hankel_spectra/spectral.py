@@ -5,9 +5,9 @@ Each operator in the family is unitarily equivalent to a direct sum of
 two multiplication operators by +/- h on weighted half-line spaces; the
 weight is rho_p for a parameter p determined by the order's parity.
 ``block_parameters`` is the one (sign, p) table of that data, with
-``density_rho`` and ``multiplier_h`` for the weight and the multiplier;
-``block_certificate`` checks the same table against the parity blocks of
-the truncations.
+``density_rho`` and ``multiplier_h`` for the weight and the multiplier.
+``_parity_blocks`` lists the parity blocks of the truncations, which
+``operators`` solves and ``block_certificate`` checks against them.
 
 Every matrix the certificate involves depends only on row + col, so it
 works on the 2N - 1 anti-diagonal values that fix a size-N matrix:
@@ -121,9 +121,9 @@ def density_rho(p, lam):
 
 def block_parameters(ell):
     """The (sign, p) pairs of the two blocks diagonalizing the order-ell
-    operator, each with scale 1/pi: the first pair belongs to the
-    even-coordinate (or post-rotation first) parity block of the
-    truncations, which ``block_certificate`` checks against.
+    operator, each with scale 1/pi: the first pair belongs to the parity
+    block of the truncations on the even rows, the second to the one on
+    the odd rows, which odd orders do not have (``_parity_blocks``).
 
     Even order 2m pairs parameter 1/2 - m with sign (-1)^m and
     -1/2 - m with sign (-1)^(m+1); odd order 2m+1 uses -1/2 - m twice,
@@ -149,38 +149,45 @@ def _block_deviation(values, sign, p, n):
     )
 
 
-def block_certificate(ell, n):
-    """Certificate of the two blocks of ``block_parameters(ell)`` against
-    the order-ell truncation of size 2N.
+def _parity_blocks(ell, values):
+    """The parity blocks of the order-ell truncation with anti-diagonal
+    values ``values`` (2N - 1 of them), as (block values, rows, cols,
+    sign, p). Entry (row, col) vanishes unless row + col + ell is even:
+    even ell keeps the even rows and columns, values[2s], and the odd
+    ones, values[2s + 2], as square blocks of sizes ceil(N/2) and
+    floor(N/2); odd ell keeps the ceil(N/2) x floor(N/2) block
+    U = entries[0::2, 1::2] of [[0, U], [U^T, 0]], values[2s + 1]. A
+    block reads the first rows + cols - 1 of its values.
+    """
+    n = (len(values) + 1) // 2
+    half = (n + 1) // 2
+    (sign, p), (other_sign, other_p) = block_parameters(ell)
+    if ell % 2:
+        return [(values[1::2], half, n - half, sign, p)]
+    return [
+        (values[0::2], half, half, sign, p),
+        (values[2::2], n - half, n - half, other_sign, other_p),
+    ]
 
-    Entry (row, col) vanishes unless row + col + ell is even, so the
-    parity of ell picks which pair of the four N x N parity slices must
-    vanish identically and which pair is kept. Slice (a, b), rows of
-    parity a and columns of parity b, is itself Hankel with values
-    d[2s + a + b], where d = ``truncation_values(ell, 2N)``; so each
-    maximum below runs over the 2N - 1 values of a slice, not its N^2
-    entries. Conjugated by the alternating-sign diagonal, the kept
-    diagonal pair of an even order is the two blocks, (sign/pi) times
-    Hilbert-type matrices. The kept off-diagonal pair [[0, U], [L, 0]] of
-    an odd order is turned by the sum/difference rotation
-    (1/sqrt 2) [[I, -I], [I, I]] into (1/2) [[U+L, U-L], [L-U, -(U+L)]]:
-    (U+L)/2 lands on the first block and (U-L)/2 must vanish. Both U and
-    L hold the values d[2s + 1], so (U+L)/2 is U and (U-L)/2 is exactly 0.
+
+def block_certificate(ell, n):
+    """Certificate of the parity blocks (``_parity_blocks``) of the
+    order-ell truncation of size 2N: ``max_abs_deviation`` is the largest
+    distance of a block, conjugated by the alternating-sign diagonal, from
+    (sign/pi) H_p, and ``cross_block_max`` the largest value that the
+    blocks leave out, which must vanish. Each block is Hankel, so both
+    maxima run over 2N - 1 values, not N^2 entries.
     """
     ell = _check_int("block_certificate", "ell", ell, 0, L_MAX)
     n = _check_int("block_certificate", "n", n, 1, MAX_TRUNCATION_SIZE // 2)
     values = truncation_values(ell, 2 * n)
-    odd = ell % 2
-    cross = max(abs(value) for value in values[1 - odd :: 2])
-    kept = values[odd::2]
-    (sign_a, p_a), (sign_b, p_b) = block_parameters(ell)
-    deviation = _block_deviation(kept, sign_a, p_a, n)
-    if not odd:
-        deviation = max(deviation, _block_deviation(kept[1:], sign_b, p_b, n))
     return BlockCertificate(
-        parity="odd" if odd else "even",
+        parity="odd" if ell % 2 else "even",
         m=ell // 2,
         size=n,
-        max_abs_deviation=deviation,
-        cross_block_max=cross,
+        max_abs_deviation=max(
+            _block_deviation(block, sign, p, rows)
+            for block, rows, _, sign, p in _parity_blocks(ell, values)
+        ),
+        cross_block_max=max(abs(value) for value in values[1 - ell % 2 :: 2]),
     )

@@ -446,9 +446,14 @@ def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
 
 def test_eigensolver_iteration_cap_maps_to_exit_three(capsys, monkeypatch):
     monkeypatch.setattr("hankel_spectra.operators._QL_MAX_ITERATIONS", 0)
-    code, out = run_cli(capsys, "spectrum", "--ell", "0", "--size", "8")
-    assert code == 3
-    assert out == ""
+    # order 1 at odd size solves a Golub-Kahan chain, no matrix of rows
+    for ell, size in (("0", "8"), ("1", "9")):
+        code = cli.main(["spectrum", "--ell", ell, "--size", size])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "did not converge in 0 iterations" in captured.err
+        assert "symm_eigen" not in captured.err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

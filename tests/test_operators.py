@@ -80,15 +80,15 @@ def test_truncation_size_cap():
 
 
 def test_block_parameters_frozen():
-    assert op.block_parameters(0) == ((1.0, 0.5), (-1.0, -0.5))
-    assert op.block_parameters(1) == ((-1.0, -0.5), (1.0, -0.5))
-    assert op.block_parameters(2) == ((-1.0, -0.5), (1.0, -1.5))
-    assert op.block_parameters(3) == ((1.0, -1.5), (-1.0, -1.5))
-    assert op.block_parameters(4) == ((1.0, -1.5), (-1.0, -2.5))
-    assert op.block_parameters(5) == ((-1.0, -2.5), (1.0, -2.5))
-    assert op.block_parameters(6) == ((-1.0, -2.5), (1.0, -3.5))
-    assert op.block_parameters(7) == ((1.0, -3.5), (-1.0, -3.5))
-    assert op.block_parameters(8) == ((1.0, -3.5), (-1.0, -4.5))
+    assert spectral.block_parameters(0) == ((1.0, 0.5), (-1.0, -0.5))
+    assert spectral.block_parameters(1) == ((-1.0, -0.5), (1.0, -0.5))
+    assert spectral.block_parameters(2) == ((-1.0, -0.5), (1.0, -1.5))
+    assert spectral.block_parameters(3) == ((1.0, -1.5), (-1.0, -1.5))
+    assert spectral.block_parameters(4) == ((1.0, -1.5), (-1.0, -2.5))
+    assert spectral.block_parameters(5) == ((-1.0, -2.5), (1.0, -2.5))
+    assert spectral.block_parameters(6) == ((-1.0, -2.5), (1.0, -3.5))
+    assert spectral.block_parameters(7) == ((1.0, -3.5), (-1.0, -3.5))
+    assert spectral.block_parameters(8) == ((1.0, -3.5), (-1.0, -4.5))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -136,6 +136,47 @@ def test_block_certificates_catch_a_perturbed_block(monkeypatch, parity, rows, c
             assert cert.max_abs_deviation <= 1e-13, index
 
 
+@pytest.mark.parametrize("ell", range(9))
+def test_parity_blocks_split_the_truncation(ell):
+    for n in range(1, 71):
+        values = spectral.truncation_values(ell, n)
+        blocks = spectral._parity_blocks(ell, values)
+        # the table over the value indices names the values a block reads
+        marked = spectral._parity_blocks(ell, list(range(2 * n - 1)))
+        read = set()
+        for (block, rows, cols, sign, p), (indices, *same) in zip(blocks, marked, strict=True):
+            assert same == [rows, cols, sign, p] and (sign, p) in spectral.block_parameters(ell)
+            assert rows == cols + (ell % 2) * (n % 2), (n, rows, cols)
+            assert block == [values[s] for s in indices] and len(block) >= rows + cols - 1
+            read.update(indices[: max(rows + cols - 1, 0)])
+        assert sum(rows + cols * (ell % 2) for _, rows, cols, _, _ in blocks) == n
+        # what the blocks read is nonzero, the other parity exactly 0.0
+        assert all((s in read) == (values[s] != 0.0) for s in range(2 * n - 1)), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 1024])
+def test_block_certificate_is_the_largest_guard_deviation(n):
+    for ell in range(9):
+        values = spectral.truncation_values(ell, 2 * n)
+        guard = max(
+            spectral._block_deviation(block, sign, p, rows)
+            for block, rows, _, sign, p in spectral._parity_blocks(ell, values)
+        )
+        assert spectral.block_certificate(ell, n).max_abs_deviation == guard, ell
+
+
+@pytest.mark.parametrize("ell, flipped", [(0, 0), (0, 1), (3, 0), (6, 1), (7, 0)])
+def test_a_flipped_block_sign_fails_spectra_and_certificates(monkeypatch, ell, flipped):
+    # both read the signs from spectral's table, through _parity_blocks
+    pairs = [list(pair) for pair in spectral.block_parameters(ell)]
+    pairs[flipped][0] *= -1.0
+    monkeypatch.setattr(spectral, "block_parameters", lambda order: pairs)
+    for n in (32, 33):
+        with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+            op.spectrum_report(ell, n)
+    assert spectral.block_certificate(ell, 16).max_abs_deviation > 1e-13
+
+
 def _dense_truncation(ell, n):
     """The truncation as a dense index matrix gathered from the coefficients."""
     coeffs = np.zeros(2 * n + ell)
@@ -156,7 +197,7 @@ def _dense_certificate(ell, n):
     """(max deviation, cross-block max) computed on dense n x n blocks."""
     big = _dense_truncation(ell, 2 * n)
     signs = np.outer(op.alternating_signs(n), op.alternating_signs(n))
-    (sign_a, p_a), (sign_b, p_b) = op.block_parameters(ell)
+    (sign_a, p_a), (sign_b, p_b) = spectral.block_parameters(ell)
     target_a = (sign_a / math.pi) * _dense_hilbert(p_a, n, False)
     if ell % 2 == 0:
         cross = max(np.abs(big[0::2, 1::2]).max(), np.abs(big[1::2, 0::2]).max())
@@ -521,17 +562,8 @@ def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
             assert r <= min(factor, 25)
 
 
-def _parity_blocks(ell, n):
-    """(values, rows, sign, p) of the parity blocks of the order-ell,
-    size-n truncation, as ``spectrum_report`` factors them: rows is the
-    size of the model; for odd ell at odd n the block U is its first
-    rows - 1 columns."""
-    values = spectral.truncation_values(ell, n)
-    (sign, p), (other_sign, other_p) = spectral.block_parameters(ell)
-    if ell % 2:
-        return [(values[1::2], (n + 1) // 2, sign, p)]
-    half = (n + 1) // 2
-    return [(values[0::2], half, sign, p), (values[2::2], n - half, other_sign, other_p)]
+def _blocks(ell, n):
+    return spectral._parity_blocks(ell, spectral.truncation_values(ell, n))
 
 
 @pytest.mark.parametrize("n", [127, 128, 255, 256, 512])
@@ -547,7 +579,7 @@ def test_square_block_misses_stay_within_the_discarded_trace(ell, n):
     # Weyl: the discarded remainder is positive semidefinite, so its trace
     # bounds every eigenvalue's miss; the Gram core's QL and LAPACK each
     # add rounding of about an ulp of the largest eigenvalue
-    for values, rows, sign, p in _parity_blocks(ell, n):
+    for values, rows, _, sign, p in _blocks(ell, n):
         got, bound = op._square_block_eigenvalues(values, rows, sign, p)
         block = np.array(op._hankel_rows(values, rows))
         want = np.linalg.eigvalsh(block)
@@ -564,7 +596,7 @@ def test_square_block_factor_matches_an_exact_solve(ell, n):
     # are the exact reference, up to the block's own deviation, which
     # the returned bound covers
     mpmath = pytest.importorskip("mpmath")
-    for values, rows, sign, p in _parity_blocks(ell, n):
+    for values, rows, _, sign, p in _blocks(ell, n):
         got, bound = op._square_block_eigenvalues(values, rows, sign, p)
         with mpmath.workdps(40):
             x = [i + (1 - mpmath.mpf(p)) / 2 for i in range(rows)]
@@ -580,7 +612,7 @@ def test_valid_blocks_sit_far_inside_the_model_guard():
     # valid block from (1/pi) H_p, relative to its largest entry
     for ell in range(9):
         for n in (64, 1023, 1024, 4095, 4096):
-            for values, rows, sign, p in _parity_blocks(ell, n):
+            for values, rows, _, sign, p in _blocks(ell, n):
                 deviation = spectral._block_deviation(values, sign, p, rows)
                 assert 100.0 * deviation * math.pi * (1.0 - p) <= op._MODEL_TOLERANCE, (ell, n)
 
@@ -589,7 +621,7 @@ def test_valid_blocks_sit_far_inside_the_model_guard():
 @pytest.mark.parametrize("index", [0, 1])
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 def test_a_block_value_moved_by_1e_12_is_a_numerical_failure(ell, n, index, direction):
-    for values, rows, sign, p in _parity_blocks(ell, n):
+    for values, rows, _, sign, p in _blocks(ell, n):
         moved = list(values)
         moved[index] *= 1.0 + direction * 1e-12
         with pytest.raises(ArithmeticError, match="not positive semidefinite"):
@@ -629,7 +661,7 @@ def test_spectrum_compares_by_value_and_drops_negative_zeros():
     with pytest.raises(AttributeError):
         spectrum.extra = 1
     assert op.Spectrum([]).tolist() == []
-    for bad in ([-2.0, 0.0, 3.0, 0.0], [0.0, math.nan]):
+    for bad in ([-2.0, 0.0, 3.0, 0.0], [0.0, math.nan], [math.nan]):
         with pytest.raises(ValueError, match="ascending"):
             op.Spectrum(bad)
 
@@ -698,19 +730,11 @@ def test_odd_order_at_odd_size_matches_lapack(ell):
         assert all(math.copysign(1.0, v) > 0.0 for v in values if v == 0.0), n
 
 
-def _odd_block(ell, n):
-    """(values, cols, sign, p) of the (cols + 1) x cols block U of the
-    order-ell, size-n truncation, odd ell and odd n."""
-    values = spectral.truncation_values(ell, n)
-    (sign, p), _ = spectral.block_parameters(ell)
-    return values[1::2], n // 2, sign, p
-
-
 @pytest.mark.parametrize("ell, n", [(1, 511), (3, 1023), (7, 255)])
 def test_odd_block_misses_stay_within_the_factor_bound(ell, n):
     # U ~ L M^T misses the model's first columns by columns of the
     # positive semidefinite remainder, whose trace bounds their norm
-    values, cols, sign, p = _odd_block(ell, n)
+    [(values, _, cols, sign, p)] = _blocks(ell, n)
     got, bound = op._block_singular_values(values, cols, sign, p)
     block = np.array([values[row : row + cols] for row in range(cols + 1)])
     want = np.linalg.svd(block, compute_uv=False)[::-1]
@@ -725,7 +749,7 @@ def test_odd_block_matches_an_exact_svd(ell, n):
     # 40 digits of the singular values of the model's first k columns are
     # the exact reference, up to the block's own deviation
     mpmath = pytest.importorskip("mpmath")
-    values, cols, sign, p = _odd_block(ell, n)
+    [(values, _, cols, sign, p)] = _blocks(ell, n)
     got, bound = op._block_singular_values(values, cols, sign, p)
     with mpmath.workdps(40):
         x = [i + (1 - mpmath.mpf(p)) / 2 for i in range(cols + 1)]

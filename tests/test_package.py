@@ -24,7 +24,8 @@ def test_star_import_binds_every_exported_name():
 def test_operators_names_are_the_module_objects():
     assert hankel_spectra.symm_eigen is operators.symm_eigen
     # the certificate and the coefficients have one binding, in spectral
-    for name in ("BlockCertificate", "block_certificate", "fourier_coefficient"):
+    names = ("BlockCertificate", "block_certificate", "block_parameters", "fourier_coefficient")
+    for name in names:
         assert getattr(hankel_spectra, name) is getattr(spectral, name)
         assert not hasattr(operators, name)
 
@@ -291,3 +292,49 @@ def test_integer_arguments_reject_non_integers(name, call, valid, bad):
 def test_integer_arguments_accept_numpy_integers(name, call, valid):
     # the record of a NumPy integer reads like that of the plain int
     assert repr(call(np.int64(valid))) == repr(call(valid))
+
+
+# Every public function with a real argument, called with valid values:
+# each float among them must refuse 1j. The z of ein, e1 and e1_scaled and
+# the a of damped_moment_shifted (here 1 + 0j) take complex numbers.
+_REAL_CALLS = [
+    (specfun.sinc, 1.0),
+    (specfun.sinc_derivative, 1, 1.0),
+    (specfun.gamma_abs_sq, 0.5, 1.0),
+    (specfun.log_gamma_abs_sq, 0.5, 1.0),
+    (specfun.damped_moment_shifted, 1, 1 + 0j, 2.0),
+    (specfun.damped_trig_moment, 1, 1.0, "sin"),
+    (kernels.symbol_psi_ell, 1, 0.5),
+    (kernels.fourier_xi_pow, 1, 1.0),
+    (kernels.fourier_psi_tilde, 1, 1.0),
+    (kernels.exp_poly_self_convolution, 1, 2.0),
+    (kernels.k_conv, 1, 0.05, 1e-10),
+    (kernels.k_closed, 1, 1.0),
+    (kernels.k_asymptotic, 1, 3.0),
+    (kernels.evaluate, 1, 2.0),
+    (kernels.lp_diagnostic, 1, 1.0, 0.01),
+    (quadrature.integrate_adaptive, math.exp, 0.0, 1.0, 1e-10),
+    (quadrature.improper_damped, lambda y: math.exp(-abs(y)), 1e-8),
+    (quadrature.fourier_symbol_oracle, 1, 1.0),
+    (spectral.hilbert_type_values, 0.5, 3),
+    (spectral.multiplier_h, 1.0),
+    (spectral.density_rho, 0.5, 1.0),
+    (operators.hilbert_type, -0.5, 3, False),
+]
+_REAL_ARGUMENTS = [
+    (function, args, i)
+    for function, *args in _REAL_CALLS
+    for i, value in enumerate(args)
+    if type(value) is float
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, i", _REAL_ARGUMENTS, ids=[f"{f.__name__}-{i}" for f, _, i in _REAL_ARGUMENTS]
+)
+def test_real_arguments_reject_complex_numbers(function, args, i):
+    # 1j used to pass as its modulus, give a complex result or a TypeError
+    name = function.__name__
+    with pytest.raises(ValueError, match=f"^{name}: .* = 1j must be finite and real$"):
+        function(*args[:i], 1j, *args[i + 1 :])
+    assert function(*args[:i], np.float64(args[i]), *args[i + 1 :]) == function(*args)
