@@ -6,11 +6,13 @@ fourier_xi_pow and fourier_psi_tilde (p_ell and the alternating
 sinc-derivative sum); the fully explicit route k_closed expands the
 symbol in partial fractions of 1/(1-it), which gives once per order an
 exact linear form over A(x) x^k, sin(x) x^k and cos(x) x^k plus one
-multiple of sinc(x) (the tests compare it with a second, term-by-term
-derivation); fourier_symbol_oracle from the quadrature module is the
-slow reference; and k_asymptotic is the large-x limit shape. Their
-mutual agreement is the package's main correctness argument, so none of
-them is allowed to call into another's machinery.
+multiple of sinc(x), with A from an exact real power series up to
+|x(-1+i)| = 12 and from e1_scaled beyond (the tests compare it with a
+second, term-by-term derivation); fourier_symbol_oracle from the
+quadrature module is the slow reference; and k_asymptotic is the
+large-x limit shape. Their mutual agreement is the package's main
+correctness argument, so none of them is allowed to call into another's
+machinery.
 
 Every route returns a ``KernelEvaluation`` named tuple.
 """
@@ -26,6 +28,7 @@ from . import quadrature
 from .combinatorics import p_poly
 from .specfun import (
     L_MAX,
+    _SERIES_RADIUS,
     _check_finite,
     _check_int,
     _gaussian_power,
@@ -158,9 +161,52 @@ def k_conv(ell, x, tol=1e-10):
     )
 
 
+# The largest x with |x(-1+i)| <= _SERIES_RADIUS as e1_scaled computes it,
+# so the series below serves exactly where e1_scaled would take the Ein
+# series on A's ray (the tests check that the next double lies past it).
+_A_SERIES_X = _SERIES_RADIUS / math.sqrt(2.0)
+_A_BINS_PER_UNIT = 4
+_A_TAIL = 2.0**-57
+
+
+@lru_cache(maxsize=None)
+def _a_series():
+    # On z = x(-1+i), Im log z = 3 pi/4, so E1 = Ein - log z - gamma gives
+    # A(x) = e^(-x) (pi/4 + sum_{k>=1} b_k x^k) with the exact rationals
+    # b_k = (-1)^(k+1) Im((-1+i)^k)/(k k!), (-1+i)^k = i^k (1+i)^k
+    # (DLMF 6.6.2; Abramowitz & Stegun 5.1.11). Bin i holds, highest first,
+    # the terms kept for x in [i/4, (i+1)/4), then pi/4. With y = x sqrt(2),
+    # |b_k| x^k <= t_k = y^k/(k k!) and t_(k+1)/t_k < y/(k+1), so once
+    # K + 1 > y the tail from K on is at most t_K/(1 - y/(K+1)); K is the
+    # first index at which that bound, at the bin's upper end and times
+    # e^(-x) at its lower end, is at most _A_TAIL.
+    bins = []
+    coeffs = [None]
+    for i in range(math.floor(_A_SERIES_X * _A_BINS_PER_UNIT) + 1):
+        y = math.sqrt(2.0) * (i + 1) / _A_BINS_PER_UNIT
+        damping = math.exp(-i / _A_BINS_PER_UNIT)
+        k, t = 1, y
+        while not (y < k + 1 and damping * t / (1.0 - y / (k + 1)) <= _A_TAIL):
+            t *= y * k / (k + 1) ** 2
+            k += 1
+        while len(coeffs) < k:
+            n = len(coeffs)
+            re, im = _gaussian_power(n)
+            im_n = (im, re, -im, -re)[n % 4]  # Im(i^n (re + i im))
+            coeffs.append(float(Fraction((-1) ** (n + 1) * im_n, n * math.factorial(n))))
+        bins.append((*reversed(coeffs[1:k]), math.pi / 4.0))
+    return tuple(bins)
+
+
 def _a_value(x):
-    # integral over (0, inf) of e^(-y) sinc(x - y) dy
-    #   = pi e^(-x) + e^(-x) Im E1(-x + ix)
+    # integral over (0, inf) of e^(-y) sinc(x - y) dy, x > 0,
+    #   = pi e^(-x) + e^(-x) Im E1(-x + ix):
+    # the real series of _a_series up to _A_SERIES_X, E1 beyond
+    if x <= _A_SERIES_X:
+        acc = 0.0
+        for coef in _a_series()[int(x * _A_BINS_PER_UNIT)]:
+            acc = acc * x + coef
+        return math.exp(-x) * acc
     z = complex(-x, x)
     return math.pi * math.exp(-x) + (cmath.exp(complex(0.0, -x)) * e1_scaled(z)).imag
 
@@ -175,6 +221,7 @@ def _closed_form(ell):
     # I_1 = 2 A(x) and, by parts, I_j = (x I_(j-1) + 2 Im(w^(j-1) e^(-ix)))
     # / (j-1) with w = (1+i)/2. So (j-1)!/2 I_j = x^(j-1) A + sum_{r<j}
     # (r-1)! x^(j-1-r) (Im(w^r) cos x - Re(w^r) sin x), weighted by c below.
+    # Rows come highest first, each followed by its absolute values.
     poly = [[Fraction(0)] * 3 for _ in range(ell)]  # rows k: A, sin, cos
     for j in range(1, ell + 1):
         c = Fraction(
@@ -186,7 +233,8 @@ def _closed_form(ell):
             lead = c * Fraction(math.factorial(r - 1), 2**r)
             poly[j - 1 - r][1] -= lead * re
             poly[j - 1 - r][2] += lead * im
-    return tuple(tuple(map(float, row)) for row in poly)
+    rows = (tuple(map(float, row)) for row in reversed(poly))
+    return tuple((*row, *map(abs, row)) for row in rows)
 
 
 def k_closed(ell, x):
@@ -198,15 +246,19 @@ def k_closed(ell, x):
     plus a fixed rational linear combination of A(x) x^k, sin(x) x^k and
     cos(x) x^k (k < ell), with A the damped sinc integral behind the
     E1(-x + ix) terms. Its coefficients are built once per order in exact
-    arithmetic (on first use, then cached). A call costs one e1_scaled
-    call, one Horner pass over the three polynomials and one sinc.
+    arithmetic (on first use, then cached). A call costs one value of A,
+    one Horner step per row of the three polynomials and one sinc. Up to
+    x = 12/sqrt(2), where e1_scaled would take its Ein series, A is
+    e^(-x) (pi/4 + sum b_k x^k) with exact rational b_k, summed by Horner
+    to a stated tail bound; beyond, it costs one e1_scaled call.
 
-    Below X_MIN_CLOSED the logarithmic singularity of A only cancels
-    across the whole sum and double precision loses the value; that
-    region is k_conv's job. At large x the polynomial terms grow like
-    x^(ell-1) and cancel to a value of order 1/x. The error estimate is
-    rounding noise scaled by the total absolute mass of the sum, so it
-    grows with that cancellation. Where the sum or that mass leaves the
+    A is analytic, with A(0) = pi/4, and on 1e-4 <= x <= 1e-3 the sum
+    still misses the kernel by at most 2.4e-15 at orders 1 to 8, a third
+    of its estimate; X_MIN_CLOSED stays the route's lower end, and k_conv
+    serves below it. At large x the polynomial terms grow like x^(ell-1)
+    and cancel to a value of order 1/x. The error estimate is rounding
+    noise scaled by the total absolute mass of the sum, so it grows with
+    that cancellation. Where the sum or that mass leaves the
     double range it raises OverflowError.
     """
     ell = _check_int("k_closed", "ell", ell, 1, L_MAX)
@@ -215,16 +267,14 @@ def k_closed(ell, x):
         raise ValueError(
             f"k_closed: x = {x} below X_MIN_CLOSED = {X_MIN_CLOSED}; use k_conv"
         )
-    basis = (_a_value(x), math.sin(x), math.cos(x))
+    a, s, c = _a_value(x), math.sin(x), math.cos(x)
+    abs_a, abs_s, abs_c = abs(a), abs(s), abs(c)
     total = 0.0
     abs_mass = 0.0
-    for row in reversed(_closed_form(ell)):
-        total *= x
-        abs_mass *= x
-        for coef, value in zip(row, basis):
-            term = coef * value
-            total += term
-            abs_mass += abs(term)
+    # |coef| |value| rounds exactly as |coef value| does
+    for ca, cs, cc, qa, qs, qc in _closed_form(ell):
+        total = total * x + ca * a + cs * s + cc * c
+        abs_mass = abs_mass * x + qa * abs_a + qs * abs_s + qc * abs_c
     term = 2.0 * (-1) ** ell * sinc(x)
     total += term
     abs_mass += abs(term)
@@ -249,7 +299,8 @@ def k_asymptotic(ell, x):
 
 def evaluate(ell, x, method="auto"):
     """Route dispatcher: closed form for x >= 0.1, convolution below, the
-    quadrature oracle only on demand. Order 0 is always the exact sinc
+    quadrature oracle only on demand, with the error estimate that its
+    adaptive quadrature measured. Order 0 is always the exact sinc
     formula."""
     if method not in ("auto", "closed", "conv", "oracle"):
         raise ValueError(f"evaluate: unknown method {method!r}")
@@ -265,8 +316,8 @@ def evaluate(ell, x, method="auto"):
         return k_closed(ell, x)
     if method == "conv":
         return k_conv(ell, x)
-    value = quadrature.fourier_symbol_oracle(ell, x)
-    return KernelEvaluation(x=x, value=value, route="oracle", error_estimate=1e-12)
+    value, error = quadrature._symbol_oracle(ell, x)
+    return KernelEvaluation(x=x, value=value, route="oracle", error_estimate=error)
 
 
 def lp_diagnostic(ell, p, big_x):

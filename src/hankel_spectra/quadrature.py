@@ -138,10 +138,12 @@ def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANE
 
     Interior breakpoints seed the initial panel list, so integrands that
     are only piecewise smooth converge at the full rate provided their
-    kinks are declared. Raises QuadratureBudgetError (carrying the best
-    estimate) once max_panels panels exist and the tolerance is still out
-    of reach, and ArithmeticError when the integrand's values leave the
-    double range (a nan estimate would otherwise end the refinement).
+    kinks are declared. Each breakpoint must be a finite real number;
+    those outside (a, b) are ignored. Raises QuadratureBudgetError
+    (carrying the best estimate) once max_panels panels exist and the
+    tolerance is still out of reach, and ArithmeticError when the
+    integrand's values leave the double range (a nan estimate would
+    otherwise end the refinement).
     """
     _check_finite("integrate_adaptive", "a", a)
     _check_finite("integrate_adaptive", "b", b)
@@ -149,6 +151,9 @@ def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANE
         raise ValueError(f"integrate_adaptive: bad interval [{a}, {b}]")
     _check_tol("integrate_adaptive", tol)
     max_panels = _check_int("integrate_adaptive", "max_panels", max_panels, 1)
+    breakpoints = list(breakpoints)
+    for point in breakpoints:
+        _check_finite("integrate_adaptive", "breakpoint", point)
     points = [a, *sorted(p for p in set(breakpoints) if a < p < b), b]
     _check_seed_panels(len(points) - 1, max_panels)
     heap = []
@@ -202,8 +207,7 @@ def improper_damped(f, tol, breakpoints=(), degree=L_MAX):
     cut = 40.0 + degree * math.log(1.0 + degree)
     while math.exp(-cut) * (1.0 + cut) ** degree > 0.1 * tol:
         cut *= 1.25
-    inner = [p for p in breakpoints if -cut < p < cut]
-    return integrate_adaptive(f, -cut, cut, tol, breakpoints=[0.0, *inner])
+    return integrate_adaptive(f, -cut, cut, tol, breakpoints=[0.0, *breakpoints])
 
 
 def _symbol_transform(symbol, x, tol):
@@ -216,7 +220,24 @@ def _symbol_transform(symbol, x, tol):
     return integrate_adaptive(
         lambda t: 2.0 * symbol(t) * cmath.exp(complex(0.0, -t * x)),
         -1.0, 1.0, tol, breakpoints=seeds,
-    ).value
+    )
+
+
+def _symbol_oracle(ell, x):
+    # fourier_symbol_oracle's value and the error estimate that
+    # integrate_adaptive measured, both divided by 2 pi
+    ell = _check_int("fourier_symbol_oracle", "ell", ell, 0, L_MAX)
+    _check_finite("fourier_symbol_oracle", "x", x)
+    result = _symbol_transform(
+        lambda t: (complex(1.0, t) / complex(1.0, -t)) ** ell, x, 1e-13
+    )
+    value = result.value / (2.0 * math.pi)
+    if abs(value.imag) > 1e-12:
+        raise ArithmeticError(
+            f"fourier_symbol_oracle: imaginary residue {value.imag:.3e} "
+            f"exceeds 1e-12 at ell = {ell}, x = {x}"
+        )
+    return value.real, result.abs_error_estimate / (2.0 * math.pi)
 
 
 def fourier_symbol_oracle(ell, x):
@@ -228,17 +249,7 @@ def fourier_symbol_oracle(ell, x):
     because the symbol has conjugate symmetry) is checked against 1e-12
     before being discarded.
     """
-    ell = _check_int("fourier_symbol_oracle", "ell", ell, 0, L_MAX)
-    _check_finite("fourier_symbol_oracle", "x", x)
-    value = _symbol_transform(
-        lambda t: (complex(1.0, t) / complex(1.0, -t)) ** ell, x, 1e-13
-    ) / (2.0 * math.pi)
-    if abs(value.imag) > 1e-12:
-        raise ArithmeticError(
-            f"fourier_symbol_oracle: imaginary residue {value.imag:.3e} "
-            f"exceeds 1e-12 at ell = {ell}, x = {x}"
-        )
-    return value.real
+    return _symbol_oracle(ell, x)[0]
 
 
 def _xi_pow_reference(ell, w):
@@ -280,7 +291,7 @@ def _poly_symbol_reference(ell, w):
     _check_finite("_poly_symbol_reference", "w", w)
     value = _symbol_transform(
         lambda t: complex(1.0, t) ** (2 * ell), w, 1e-12
-    ) / math.sqrt(2.0 * math.pi)
+    ).value / math.sqrt(2.0 * math.pi)
     if abs(value.imag) > 1e-11:
         raise ArithmeticError(
             f"_poly_symbol_reference: imaginary residue {value.imag:.3e} "

@@ -11,8 +11,14 @@ against the plain sum of these terms over (m, n).
 import cmath
 import math
 
-from hankel_spectra.kernels import _a_value
 from hankel_spectra.specfun import L_MAX, e1_scaled, sinc_derivative
+
+
+def _a_value(x):
+    # integral over (0, inf) of e^(-y) sinc(x - y) dy
+    #   = pi e^(-x) + Im(e^(-ix) e1_scaled(-x + ix)), from E1 at every x
+    z = complex(-x, x)
+    return math.pi * math.exp(-x) + (cmath.exp(complex(0.0, -x)) * e1_scaled(z)).imag
 
 
 def _b_value(x):

@@ -1,11 +1,14 @@
 import math
 import pickle
 import tracemalloc
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from hankel_spectra import kernels
 from hankel_spectra.kernels import (
     X_MIN_CLOSED,
     KernelEvaluation,
@@ -35,6 +38,7 @@ from hankel_spectra.specfun import (
     sinc_derivative,
 )
 
+import kernel_terms
 from kernel_terms import p_term, q_term
 
 
@@ -164,11 +168,113 @@ def test_closed_form_matches_term_by_term_sum(ell):
 
 @pytest.mark.parametrize("ell", range(1, 9))
 def test_closed_error_estimate_covers_the_oracle_miss(ell):
-    # 1e-12 is the oracle's own error estimate.
-    for x in (0.1, 0.3, 1.0, 3.0, 9.9, 20.0, 60.0, 200.0, 1000.0):
+    # A comes from its real series up to x = 12/sqrt(2) = 8.485, from E1 beyond
+    grid = (1e-3, 0.01, 0.1, 0.3, 1.0, 3.0, 5.0, 8.4, 8.5, 9.9, 20.0, 60.0, 200.0, 1000.0)
+    for x in grid:
         record = k_closed(ell, x)
-        miss = abs(record.value - fourier_symbol_oracle(ell, x))
-        assert miss <= record.error_estimate + 1e-12, (x, miss, record.error_estimate)
+        oracle = evaluate(ell, x, method="oracle")
+        miss = abs(record.value - oracle.value)
+        bound = record.error_estimate + oracle.error_estimate
+        assert miss <= bound, (x, miss, record.error_estimate, oracle.error_estimate)
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_oracle_reports_the_quadrature_error_estimate(ell):
+    # its miss against k_closed is checked in the test above
+    estimates = set()
+    for x in (0.3, 3.0, 20.0):
+        oracle = evaluate(ell, x, method="oracle")
+        assert oracle.value == fourier_symbol_oracle(ell, x)
+        assert 0.0 < oracle.error_estimate <= 1e-13 / (2.0 * math.pi)
+        estimates.add(oracle.error_estimate)
+    assert len(estimates) > 1
+
+
+def _a_coefficient(k):
+    # b_k = (-1)^(k+1) Im((-1+i)^k)/(k k!), (-1+i)^k by Gaussian-integer
+    # multiplication
+    re, im = 1, 0
+    for _ in range(k):
+        re, im = -re - im, re - im
+    return Fraction((-1) ** (k + 1) * im, k * math.factorial(k))
+
+
+def test_a_series_table_is_the_exact_coefficients_rounded_once():
+    bins = kernels._a_series()
+    assert len(bins) == math.floor(4 * kernels._A_SERIES_X) + 1
+    for i, coefficients in enumerate(bins):
+        *terms, constant = coefficients
+        assert constant == math.pi / 4
+        want = [float(_a_coefficient(k)) for k in range(len(terms), 0, -1)]
+        assert terms == want, i
+        # the dropped terms, at the bin's upper end and damped by e^(-x)
+        # at its lower end, stay below 2^-57
+        x_low, x_high = i / 4, (i + 1) / 4
+        tail = sum(
+            abs(_a_coefficient(k)) * Fraction(x_high) ** k
+            for k in range(len(terms) + 1, len(terms) + 60)
+        )
+        assert math.exp(-x_low) * tail <= 2.0**-57, i
+
+
+def test_a_series_serves_up_to_the_e1_series_radius():
+    edge = kernels._A_SERIES_X
+    assert edge == 12.0 / math.sqrt(2.0)
+    assert abs(complex(-edge, edge)) <= 12.0
+    above = math.nextafter(edge, math.inf)
+    assert abs(complex(-above, above)) > 12.0
+
+
+def test_a_series_matches_mpmath():
+    with mp.workdps(40):
+        for i in range(300):
+            x = 1e-3 * (12.0 / math.sqrt(2.0) / 1e-3) ** (i / 299)
+            z = mp.mpc(-x, x)
+            want = mp.exp(-x) * (mp.pi + mp.im(mp.e1(z)))
+            assert abs(kernels._a_value(x) - want) <= 4e-16, x
+
+
+def test_a_series_meets_the_e1_form_at_the_radius():
+    edge = 12.0 / math.sqrt(2.0)
+    last = kernels._a_series()[-1]
+    for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+        series = 0.0
+        for coef in last:
+            series = series * x + coef
+        series *= math.exp(-x)
+        assert series == pytest.approx(kernel_terms._a_value(x), rel=1e-15, abs=0.0)
+
+
+def test_a_beyond_the_radius_is_the_e1_form_unchanged():
+    edge = 12.0 / math.sqrt(2.0)
+    grid = [math.nextafter(edge, math.inf)]
+    grid += [8.5 * (1e6 / 8.5) ** (i / 49) for i in range(50)]
+    for x in grid:
+        assert kernels._a_value(x) == kernel_terms._a_value(x), x
+
+
+# value and error_estimate, as float.hex, from the E1 form of A and the
+# coefficient loop before its unrolling
+_CLOSED_PINS = {
+    (1, 9.0): ("0x1.282a94796537cp-4", "0x1.2d29fcdddfd4cp-54"),
+    (1, 20.0): ("-0x1.c2bdfd06c6915p-7", "0x1.993056cb33e21p-56"),
+    (1, 100.0): ("-0x1.6b626769f6256p-8", "0x1.ba6dbdd75af8dp-58"),
+    (1, 1000.0): ("-0x1.77ca0bacb8826p-12", "0x1.99ec13e9658d8p-62"),
+    (4, 9.0): ("0x1.18586b708b4ccp-2", "0x1.6f66e8f8af051p-43"),
+    (4, 20.0): ("0x1.278abb9a9f261p-5", "0x1.c23523080cb13p-42"),
+    (4, 100.0): ("-0x1.b874856993abdp-9", "0x1.b1ab6d73cb370p-37"),
+    (4, 1000.0): ("0x1.1518d47a9ea2ep-11", "0x1.83ea5052ad507p-31"),
+    (8, 9.0): ("-0x1.3c1d57f6a4d6dp-2", "0x1.059696faf7639p-33"),
+    (8, 20.0): ("0x1.7d36bcfd583f4p-4", "0x1.a74200985db06p-29"),
+    (8, 100.0): ("-0x1.cb306be1189ffp-9", "0x1.e6b48a7d100cbp-16"),
+    (8, 1000.0): ("0x1.7ab5e8bc4698ap-2", "0x1.b79dc67d99787p+3"),
+}
+
+
+@pytest.mark.parametrize("ell, x", sorted(_CLOSED_PINS))
+def test_closed_values_beyond_the_radius_are_pinned(ell, x):
+    record = k_closed(ell, x)
+    assert (record.value.hex(), record.error_estimate.hex()) == _CLOSED_PINS[ell, x]
 
 
 @pytest.mark.parametrize("ell", range(1, 9))

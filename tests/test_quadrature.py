@@ -120,6 +120,19 @@ def test_adaptive_ignores_the_order_of_its_breakpoints(breakpoints, data):
     assert first == second
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5j, "x"])
+def test_adaptive_rejects_a_non_finite_or_non_real_breakpoint(bad):
+    with pytest.raises(ValueError, match="integrate_adaptive: breakpoint"):
+        integrate_adaptive(math.exp, 0.0, 1.0, 1e-10, breakpoints=[0.5, bad])
+    with pytest.raises(ValueError, match="integrate_adaptive: breakpoint"):
+        improper_damped(lambda y: math.exp(-abs(y)), 1e-10, breakpoints=[bad])
+
+
+def test_adaptive_ignores_finite_breakpoints_outside_the_interval():
+    plain = integrate_adaptive(math.exp, 0.0, 1.0, 1e-10)
+    assert integrate_adaptive(math.exp, 0.0, 1.0, 1e-10, breakpoints=[-2.0, 0.0, 1.0, 7.5]) == plain
+
+
 def test_adaptive_breakpoints_handle_kinks():
     result = integrate_adaptive(abs, -1.0, 1.0, tol=1e-14, breakpoints=(0.0,))
     assert result.value == pytest.approx(1.0, abs=1e-15)
