@@ -37,10 +37,11 @@ from .specfun import (
     sinc,
 )
 
-X_MIN_CLOSED = 1e-3
+X_MIN_CLOSED = 0.0
 
-# x at which the automatic route and lp_diagnostic pass from the
-# convolution route (below) to the closed form
+# x at which the automatic route passes from k_conv to the closed form,
+# which holds from x = 0 at a thousandth of the cost: moving it would raise
+# kernel-table's op count 100-fold, and perfbench keeps every result.
 _CROSSOVER = 0.1
 
 _SQRT_8_OVER_PI = math.sqrt(8.0 / math.pi)
@@ -130,7 +131,7 @@ def _conv_rounding(ell):
     return mass * sys.float_info.epsilon / (math.pi * 2.0 ** (ell - 1))
 
 
-def k_conv(ell, x, tol=1e-10):
+def k_conv(ell, x):
     """Kernel value through the convolution representation.
 
     The alternating sinc-derivative sum is evaluated inside a single
@@ -142,7 +143,6 @@ def k_conv(ell, x, tol=1e-10):
     """
     ell = _check_int("k_conv", "ell", ell, 0, L_MAX)
     _check_finite("k_conv", "x", x)
-    quadrature._check_tol("k_conv", tol)
     if ell == 0:
         return KernelEvaluation(
             x=x, value=2.0 / math.pi * sinc(x), route="convolution", error_estimate=0.0
@@ -152,7 +152,7 @@ def k_conv(ell, x, tol=1e-10):
         return math.exp(-abs(y)) * _p_poly_eval(ell, abs(y)) * _alt_sinc_sum(ell, x - y)
 
     prefactor = 1.0 / (math.pi * 2.0 ** (ell - 1))
-    result = quadrature.improper_damped(integrand, tol, degree=ell - 1)
+    result = quadrature.improper_damped(integrand, 1e-10, degree=ell - 1)
     return KernelEvaluation(
         x=x,
         value=prefactor * result.value,
@@ -199,7 +199,7 @@ def _a_series():
 
 
 def _a_value(x):
-    # integral over (0, inf) of e^(-y) sinc(x - y) dy, x > 0,
+    # integral over (0, inf) of e^(-y) sinc(x - y) dy, x >= 0,
     #   = pi e^(-x) + e^(-x) Im E1(-x + ix):
     # the real series of _a_series up to _A_SERIES_X, E1 beyond
     if x <= _A_SERIES_X:
@@ -252,14 +252,16 @@ def k_closed(ell, x):
     e^(-x) (pi/4 + sum b_k x^k) with exact rational b_k, summed by Horner
     to a stated tail bound; beyond, it costs one e1_scaled call.
 
-    A is analytic, with A(0) = pi/4, and on 1e-4 <= x <= 1e-3 the sum
-    still misses the kernel by at most 2.4e-15 at orders 1 to 8, a third
-    of its estimate; X_MIN_CLOSED stays the route's lower end, and k_conv
-    serves below it. At large x the polynomial terms grow like x^(ell-1)
+    A is analytic, with A(0) = pi/4, so the route serves every x >= 0
+    (X_MIN_CLOSED is 0; k_conv serves negative x): against 30-digit
+    mpmath values at orders 1 to 8, at x = 0 and at 60 log points on
+    [1e-12, 0.1], every value lies within its estimate, the worst at 0.27
+    of it. At large x the polynomial terms grow like x^(ell-1)
     and cancel to a value of order 1/x. The error estimate is rounding
     noise scaled by the total absolute mass of the sum, so it grows with
-    that cancellation. Where the sum or that mass leaves the
-    double range it raises OverflowError.
+    that cancellation, plus two ulps of the value, which the mass term
+    alone can miss at order 1, where the mass is about the value. Where
+    the sum or that mass leaves the double range it raises OverflowError.
     """
     ell = _check_int("k_closed", "ell", ell, 1, L_MAX)
     _check_finite("k_closed", "x", x)
@@ -280,11 +282,12 @@ def k_closed(ell, x):
     abs_mass += abs(term)
     if not (math.isfinite(total) and math.isfinite(abs_mass)):
         raise OverflowError(f"k_closed: the sum at ell = {ell}, x = {x} overflows")
+    value = total / math.pi
     return KernelEvaluation(
         x=x,
-        value=total / math.pi,
+        value=value,
         route="closed",
-        error_estimate=abs_mass / math.pi * 5e-16,
+        error_estimate=abs_mass / math.pi * 5e-16 + 2.0 * math.ulp(value),
     )
 
 
@@ -321,48 +324,41 @@ def evaluate(ell, x, method="auto"):
 
 
 def lp_diagnostic(ell, p, big_x):
-    """Integral of |k^(ell)|^p over (0, X) by the best route per region.
+    """Integral of |k^(ell)|^p over (0, X) by the closed form, to 1e-5.
 
-    The convolution route covers (0, 0.1]; the closed form covers the
-    rest, with panel seeds at the asymptotic zero locations so the |.|
-    kinks of the p = 1 case land on panel edges as x grows. The number of
-    seeds, about X/pi, is checked against the panel budget before any
-    work is done.
+    Panel seeds sit at the asymptotic zeros x = ell pi/2 + k pi > 0, so
+    the |.| kinks of the p = 1 case land on panel edges as x grows. The
+    number of seeds, about X/pi, is checked against the panel budget
+    before any work is done. A closed value whose own error estimate
+    exceeds the tolerance raises ArithmeticError at once: from x of about
+    84 at order 8, 2.6e3 at order 5 and 9e4 at order 4 on; orders 1 to 3
+    stay within it up to x = 1e9.
     """
     ell = _check_int("lp_diagnostic", "ell", ell, 1, L_MAX)
     _check_finite("lp_diagnostic", "p", p)
     _check_finite("lp_diagnostic", "X", big_x)
-    tol = 1e-5  # absolute, on each of the two regions
     if p < 1.0:
         raise ValueError(f"lp_diagnostic: p = {p} must be >= 1")
     if big_x <= 0.0:
         raise ValueError(f"lp_diagnostic: X = {big_x} must be positive")
-    shift = 0.5 * ell * math.pi
-    k0 = math.ceil((_CROSSOVER - shift) / math.pi)
-    if big_x > _CROSSOVER:
-        panels = math.ceil((big_x - shift) / math.pi) - k0 + 1
-        quadrature._check_seed_panels(panels, _LP_MAX_PANELS)
-    total = 0.0
-    low_edge = min(big_x, _CROSSOVER)
-    low = quadrature.integrate_adaptive(
-        lambda x: abs(k_conv(ell, x, tol=1e-9).value) ** p, 0.0, low_edge, tol
-    )
-    total += low.value
-    if big_x <= _CROSSOVER:
-        return total
-    # seed breakpoints at the asymptotic zeros x = ell pi/2 + k pi
-    zeros = []
-    xk = shift + k0 * math.pi
-    while xk < big_x:
-        if xk > _CROSSOVER:
-            zeros.append(xk)
-        xk += math.pi
-    main = quadrature.integrate_adaptive(
-        lambda x: abs(k_closed(ell, x).value) ** p,
-        _CROSSOVER,
+    first = 0.5 * math.pi if ell % 2 else math.pi
+    seeds = math.ceil((big_x - first) / math.pi)
+    quadrature._check_seed_panels(seeds + 1, _LP_MAX_PANELS)
+    tol = 1e-5
+
+    def integrand(x):
+        record = k_closed(ell, x)
+        if record.error_estimate > tol:
+            raise ArithmeticError(
+                f"lp_diagnostic: error estimate {record.error_estimate:.3e} > {tol} at x = {x}"
+            )
+        return abs(record.value) ** p
+
+    return quadrature.integrate_adaptive(
+        integrand,
+        0.0,
         big_x,
         tol,
-        breakpoints=zeros,
+        breakpoints=[first + k * math.pi for k in range(seeds)],
         max_panels=_LP_MAX_PANELS,
-    )
-    return total + main.value
+    ).value

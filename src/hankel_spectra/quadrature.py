@@ -66,9 +66,10 @@ QuadratureResult = namedtuple("QuadratureResult", "value abs_error_estimate eval
 
 
 class QuadratureBudgetError(RuntimeError):
-    """Panel budget exhausted; carries the best estimate computed so far."""
+    """Panel budget exhausted; carries the best estimate computed so far
+    (None when the seed panels alone exceed the budget)."""
 
-    def __init__(self, message, best_estimate):
+    def __init__(self, message, best_estimate=None):
         super().__init__(message)
         self.best_estimate = best_estimate
 
@@ -122,12 +123,12 @@ def _combine(panels):
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
-def _check_seed_panels(count, max_panels):
+def _check_seed_panels(count, max_panels, error=ValueError):
     # Callers that derive their breakpoints from a count check it here
     # before building the list, so an oversized request fails before it
     # allocates.
     if count > max_panels:
-        raise ValueError(
+        raise error(
             f"integrate_adaptive: {count} seed panels exceed "
             f"max_panels = {max_panels}"
         )
@@ -213,9 +214,10 @@ def improper_damped(f, tol, breakpoints=(), degree=L_MAX):
 def _symbol_transform(symbol, x, tol):
     """Integral of 2 symbol(t) e^(-ixt) over [-1, 1], on seed panels no
     wider than pi/|x| so the oscillation is resolved deterministically.
-    The seed count is checked before the seeds are built."""
+    The seed count is checked before the seeds are built; past the budget
+    it raises QuadratureBudgetError, as the input itself is valid."""
     pieces = max(1, math.ceil(2.0 * abs(x) / math.pi))
-    _check_seed_panels(pieces, DEFAULT_MAX_PANELS)
+    _check_seed_panels(pieces, DEFAULT_MAX_PANELS, QuadratureBudgetError)
     seeds = [-1.0 + 2.0 * k / pieces for k in range(1, pieces)]
     return integrate_adaptive(
         lambda t: 2.0 * symbol(t) * cmath.exp(complex(0.0, -t * x)),
@@ -224,8 +226,9 @@ def _symbol_transform(symbol, x, tol):
 
 
 def _symbol_oracle(ell, x):
-    # fourier_symbol_oracle's value and the error estimate that
-    # integrate_adaptive measured, both divided by 2 pi
+    # fourier_symbol_oracle's value and error estimate over 2 pi: the one
+    # integrate_adaptive measured plus 2 eps times 4, the integral of
+    # |2 symbol e^(-ixt)|, a floor for the rounding of the quadrature sum
     ell = _check_int("fourier_symbol_oracle", "ell", ell, 0, L_MAX)
     _check_finite("fourier_symbol_oracle", "x", x)
     result = _symbol_transform(
@@ -237,7 +240,7 @@ def _symbol_oracle(ell, x):
             f"fourier_symbol_oracle: imaginary residue {value.imag:.3e} "
             f"exceeds 1e-12 at ell = {ell}, x = {x}"
         )
-    return value.real, result.abs_error_estimate / (2.0 * math.pi)
+    return value.real, (result.abs_error_estimate + 8.0 * _EPS) / (2.0 * math.pi)
 
 
 def fourier_symbol_oracle(ell, x):

@@ -444,6 +444,27 @@ def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("x, want", [("0", 0), ("5e-4", 0), ("-5", 2)])
+def test_closed_kernel_serves_every_x_from_zero(capsys, x, want):
+    code = cli.main(["kernel", "--ell", "5", "--method", "closed", "--x", x])
+    captured = capsys.readouterr()
+    assert code == want
+    if want:
+        assert captured.out == "" and "X_MIN_CLOSED = 0.0" in captured.err
+    else:
+        row = list(csv.DictReader(io.StringIO(captured.out)))[0]
+        assert row["route"] == "closed" and math.isfinite(float(row["value"]))
+
+
+def test_oracle_panel_budget_is_a_numerical_failure(capsys):
+    # a valid x whose oscillation needs more seed panels than the budget
+    code = cli.main(["kernel", "--ell", "1", "--x", "1e5", "--method", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "63662 seed panels exceed max_panels = 10000" in captured.err
+
+
 def test_eigensolver_iteration_cap_maps_to_exit_three(capsys, monkeypatch):
     monkeypatch.setattr("hankel_spectra.operators._QL_MAX_ITERATIONS", 0)
     # order 1 at odd size solves a Golub-Kahan chain, no matrix of rows
@@ -495,7 +516,7 @@ _DENSITY_ARGV = st.builds(
 _KERNEL_ARGV = st.builds(
     lambda ell, x: ("kernel", "--ell", str(ell), "--method", "closed", "--x", repr(x)),
     st.integers(min_value=0, max_value=8),
-    st.floats(min_value=1e-3, max_value=1e308),
+    st.floats(min_value=0.0, max_value=1e308),
 )
 
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from hankel_spectra.quadrature import (
     _poly_symbol_reference,
     _xi_pow_reference,
     fourier_symbol_oracle,
+    integrate_adaptive,
 )
 from hankel_spectra.specfun import (
     damped_moment_shifted,
@@ -166,6 +168,34 @@ def test_closed_form_matches_term_by_term_sum(ell):
         assert k_closed(ell, x).value == pytest.approx(_term_by_term_closed(ell, x), abs=1e-12)
 
 
+def _mp_kernel(ell, x):
+    # the symbol's Fourier integral over 2 pi at 30 digits, on panels
+    # shorter than the oscillation
+    with mp.workdps(30):
+        f = lambda t: mp.re(((1 + 1j * t) / (1 - 1j * t)) ** ell * mp.exp(-1j * x * t))
+        return mp.quad(f, mp.linspace(-1, 1, int(x) + 3)) / mp.pi
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_closed_values_near_zero_lie_within_their_estimate_of_mpmath(ell):
+    # the closed form is analytic at 0, so it serves from x = 0 on
+    for x in [0.0] + [1e-12 * 1e11 ** (i / 11) for i in range(12)]:
+        record = k_closed(ell, x)
+        assert abs(record.value - _mp_kernel(ell, x)) <= record.error_estimate, x
+
+
+@pytest.mark.parametrize(
+    "ell, x, method",
+    [(1, 4.231176599936788, "closed"), (3, 8.48528137423857, "oracle"),
+     (5, 8.48528137423857, "oracle")],
+)
+def test_rounding_floors_cover_the_mpmath_miss(ell, x, method):
+    # without their floors these estimates fell below the true miss, by
+    # 1.06x (closed) and 48x and 4.3x (oracle)
+    record = evaluate(ell, x, method=method)
+    assert abs(record.value - _mp_kernel(ell, x)) <= record.error_estimate
+
+
 @pytest.mark.parametrize("ell", range(1, 9))
 def test_closed_error_estimate_covers_the_oracle_miss(ell):
     # A comes from its real series up to x = 12/sqrt(2) = 8.485, from E1 beyond
@@ -253,20 +283,21 @@ def test_a_beyond_the_radius_is_the_e1_form_unchanged():
         assert kernels._a_value(x) == kernel_terms._a_value(x), x
 
 
-# value and error_estimate, as float.hex, from the E1 form of A and the
-# coefficient loop before its unrolling
+# value, as float.hex, from the E1 form of A and the coefficient loop
+# before its unrolling; error_estimate from the same sum plus its floor of
+# two ulps of the value
 _CLOSED_PINS = {
-    (1, 9.0): ("0x1.282a94796537cp-4", "0x1.2d29fcdddfd4cp-54"),
-    (1, 20.0): ("-0x1.c2bdfd06c6915p-7", "0x1.993056cb33e21p-56"),
-    (1, 100.0): ("-0x1.6b626769f6256p-8", "0x1.ba6dbdd75af8dp-58"),
-    (1, 1000.0): ("-0x1.77ca0bacb8826p-12", "0x1.99ec13e9658d8p-62"),
-    (4, 9.0): ("0x1.18586b708b4ccp-2", "0x1.6f66e8f8af051p-43"),
-    (4, 20.0): ("0x1.278abb9a9f261p-5", "0x1.c23523080cb13p-42"),
-    (4, 100.0): ("-0x1.b874856993abdp-9", "0x1.b1ab6d73cb370p-37"),
-    (4, 1000.0): ("0x1.1518d47a9ea2ep-11", "0x1.83ea5052ad507p-31"),
-    (8, 9.0): ("-0x1.3c1d57f6a4d6dp-2", "0x1.059696faf7639p-33"),
-    (8, 20.0): ("0x1.7d36bcfd583f4p-4", "0x1.a74200985db06p-29"),
-    (8, 100.0): ("-0x1.cb306be1189ffp-9", "0x1.e6b48a7d100cbp-16"),
+    (1, 9.0): ("0x1.282a94796537cp-4", "0x1.ad29fcdddfd4cp-54"),
+    (1, 20.0): ("-0x1.c2bdfd06c6915p-7", "0x1.d93056cb33e21p-56"),
+    (1, 100.0): ("-0x1.6b626769f6256p-8", "0x1.1d36deebad7c6p-57"),
+    (1, 1000.0): ("-0x1.77ca0bacb8826p-12", "0x1.0cf609f4b2c6cp-61"),
+    (4, 9.0): ("0x1.18586b708b4ccp-2", "0x1.6fa6e8f8af051p-43"),
+    (4, 20.0): ("0x1.278abb9a9f261p-5", "0x1.c23923080cb13p-42"),
+    (4, 100.0): ("-0x1.b874856993abdp-9", "0x1.b1ab6f73cb370p-37"),
+    (4, 1000.0): ("0x1.1518d47a9ea2ep-11", "0x1.83ea5054ad507p-31"),
+    (8, 9.0): ("-0x1.3c1d57f6a4d6dp-2", "0x1.0596a6faf7639p-33"),
+    (8, 20.0): ("0x1.7d36bcfd583f4p-4", "0x1.a74200d85db06p-29"),
+    (8, 100.0): ("-0x1.cb306be1189ffp-9", "0x1.e6b48a7d101cbp-16"),
     (8, 1000.0): ("0x1.7ab5e8bc4698ap-2", "0x1.b79dc67d99787p+3"),
 }
 
@@ -395,7 +426,7 @@ def test_evaluate_validation():
     with pytest.raises(ValueError):
         evaluate(-1, 1.0)
     with pytest.raises(ValueError):
-        k_closed(1, 1e-4)
+        k_closed(1, -1e-4)
     with pytest.raises(ValueError):
         evaluate(1, 1.0, method="magic")
 
@@ -495,6 +526,44 @@ def test_lp_diagnostic_validation():
 def test_lp_diagnostic_rejects_non_finite_input(p, big_x):
     with pytest.raises(ValueError, match="^lp_diagnostic: .* must be finite"):
         lp_diagnostic(1, p, big_x)
+
+
+def _two_region_lp(ell, p, big_x):
+    # the former route: k_conv on (0, 0.1], k_closed beyond
+    def piece(route, a, b, seeds=()):
+        f = lambda x: abs(route(ell, x).value) ** p
+        return integrate_adaptive(f, a, b, 1e-5, breakpoints=seeds).value
+
+    low = piece(k_conv, 0.0, min(big_x, 0.1))
+    if big_x <= 0.1:
+        return low
+    zeros = [ell * math.pi / 2 + k * math.pi for k in range(-ell, int(big_x / math.pi) + 1)]
+    return low + piece(k_closed, 0.1, big_x, zeros)
+
+
+@pytest.mark.parametrize(
+    "ell, p, big_x", [(8, 1.0, 20.0), (1, 2.0, 100.0), (1, 1.0, 10.0), (4, 1.0, 0.05)]
+)
+def test_lp_diagnostic_matches_the_two_region_integral(ell, p, big_x):
+    assert abs(lp_diagnostic(ell, p, big_x) - _two_region_lp(ell, p, big_x)) <= 1e-5
+
+
+def test_lp_diagnostic_never_calls_the_convolution_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("k_conv called")
+
+    monkeypatch.setattr(kernels, "k_conv", refuse)
+    assert lp_diagnostic(8, 1.0, 20.0) > 0.0
+    assert lp_diagnostic(3, 2.0, 0.05) > 0.0
+
+
+def test_lp_diagnostic_refuses_closed_values_its_tolerance_disowns():
+    # the closed estimate passes 1e-5 from x of about 84 at order 8; the
+    # whole 80 000-panel budget used to be spent first
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="^lp_diagnostic: error estimate"):
+        lp_diagnostic(8, 1.0, 1000.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lp_diagnostic_checks_the_panel_budget_before_building_seeds():

@@ -308,7 +308,7 @@ _REAL_CALLS = [
     (kernels.fourier_xi_pow, 1, 1.0),
     (kernels.fourier_psi_tilde, 1, 1.0),
     (kernels.exp_poly_self_convolution, 1, 2.0),
-    (kernels.k_conv, 1, 0.05, 1e-10),
+    (kernels.k_conv, 1, 0.05),
     (kernels.k_closed, 1, 1.0),
     (kernels.k_asymptotic, 1, 3.0),
     (kernels.evaluate, 1, 2.0),

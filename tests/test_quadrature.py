@@ -335,7 +335,7 @@ def test_panel_budget_is_checked_before_the_seeds_are_built(call):
     # floats (tens of MB of peak allocation) before the budget check
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="seed panels exceed max_panels"):
+        with pytest.raises(QuadratureBudgetError, match="seed panels exceed max_panels"):
             call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
