@@ -93,18 +93,23 @@ def _emit(text, out_path):
         raise ValueError(f"cannot write {out_path}: {error.strerror or error}") from None
 
 
-def _points(single, low, high, num, what):
-    """The one point given by --<what>, or the grid of the range flags."""
+def _points(single, low, high, num, flags):
+    """The one point given by the first of ``flags``, or the grid that the
+    other two and --num give; the two forms do not mix."""
+    point, low_flag, high_flag = flags
+    grid = f"{low_flag}/{high_flag}/--num"
     if single is not None:
+        if (low, high, num) != (None, None, None):
+            raise ValueError(f"give either {point} or the grid {grid}, not both")
         return [single]
     if low is None or high is None or num is None:
-        raise ValueError(
-            f"provide either --{what} or all of --{what}-min/--{what}-max/--num"
-        )
+        raise ValueError(f"provide either {point} or all of {grid}")
     if not low < high:
-        raise ValueError(f"grid needs {what}-min < {what}-max, got {low} >= {high}")
+        raise ValueError(f"grid needs {low_flag} < {high_flag}, got {low} >= {high}")
     if num < 2:
         raise ValueError(f"grid needs --num >= 2, got {num}")
+    if not math.isfinite(high - low):
+        raise ValueError(f"grid span {high_flag} - {low_flag} overflows a double")
     step = (high - low) / (num - 1)
     # low + (num - 1) * step can miss high by an ulp; the grid ends at high
     return [low + k * step for k in range(num - 1)] + [high]
@@ -114,7 +119,7 @@ def cmd_kernel(args):
     from . import kernels
 
     rows = []
-    for x in _points(args.x, args.xmin, args.xmax, args.num, "x"):
+    for x in _points(args.x, args.xmin, args.xmax, args.num, ("--x", "--xmin", "--xmax")):
         evaluation = kernels.evaluate(args.ell, x, method=args.method)
         rows.append(
             {
@@ -133,7 +138,8 @@ def cmd_density(args):
     from . import spectral
 
     rows = []
-    for lam in _points(args.lam, args.lam_min, args.lam_max, args.num, "lambda"):
+    flags = ("--lambda", "--lambda-min", "--lambda-max")
+    for lam in _points(args.lam, args.lam_min, args.lam_max, args.num, flags):
         point = spectral.density_rho(args.p, lam)
         rows.append(
             {

@@ -329,10 +329,11 @@ def lp_diagnostic(ell, p, big_x):
     Panel seeds sit at the asymptotic zeros x = ell pi/2 + k pi > 0, so
     the |.| kinks of the p = 1 case land on panel edges as x grows. The
     number of seeds, about X/pi, is checked against the panel budget
-    before any work is done. A closed value whose own error estimate
-    exceeds the tolerance raises ArithmeticError at once: from x of about
-    84 at order 8, 2.6e3 at order 5 and 9e4 at order 4 on; orders 1 to 3
-    stay within it up to x = 1e9.
+    before any work is done; past it, from X of about 2.5e5, the valid
+    input raises QuadratureBudgetError. A closed value whose own error
+    estimate exceeds the tolerance raises ArithmeticError at once: from x
+    of about 84 at order 8, 2.6e3 at order 5 and 9e4 at order 4 on;
+    orders 1 to 3 stay within it up to x = 1e9.
     """
     ell = _check_int("lp_diagnostic", "ell", ell, 1, L_MAX)
     _check_finite("lp_diagnostic", "p", p)
@@ -343,7 +344,7 @@ def lp_diagnostic(ell, p, big_x):
         raise ValueError(f"lp_diagnostic: X = {big_x} must be positive")
     first = 0.5 * math.pi if ell % 2 else math.pi
     seeds = math.ceil((big_x - first) / math.pi)
-    quadrature._check_seed_panels(seeds + 1, _LP_MAX_PANELS)
+    quadrature._check_seed_panels("lp_diagnostic", seeds + 1, _LP_MAX_PANELS)
     tol = 1e-5
 
     def integrand(x):

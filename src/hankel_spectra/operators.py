@@ -3,10 +3,11 @@
 The matrix model lives on sequence space: entry (n, k) of the order-l
 truncation is the Fourier coefficient c_{k+n+l+1}, so its block algebra
 is a finite algebraic fact and the certificates (``spectral``) measure
-pure floating-point noise, not discretization error. The eigensolver,
-``symm_eigen``, is Householder tridiagonalization followed by implicit
-QL (EISPACK ``tred1`` and ``imtql1``; Golub & Van Loan, *Matrix
-Computations*, 8.3) in plain Python on lists of rows.
+pure floating-point noise, not discretization error. One implicit QL
+core (EISPACK ``imtql1``; Golub & Van Loan, *Matrix Computations*, 8.3)
+serves two reductions in plain Python: Householder tridiagonalization
+(``tred1``), as in ``symm_eigen``, the dense public solver and the
+tests' reference, and the Golub-Kahan chain below.
 
 ``spectrum_report`` solves the parity blocks that the certificates prove,
 not the whole truncation, in one loop over their table in ``spectral``:
@@ -18,7 +19,7 @@ Every parity block is, conjugated by the sign checkerboard and by its
 ``block_parameters`` sign, the positive definite Cauchy matrix
 A = H_p / pi of size ceil(N/2) or floor(N/2), or, for U at odd
 N = 2k + 1, the first k columns of A of size k + 1. A's numerical rank
-grows only like log N (21 at size 128, 31 at 2048). ``_block_factor``
+grows only like log N (21 at size 128, 29 to 30 at 2048). ``_block_factor``
 factors A by diagonally pivoted Cholesky from its Cauchy generators,
 O(N) a step, so that A ~ L L^T with L of rank r. A square block's
 eigenvalues are those of the r x r Gram matrix L^T L, plus exact zeros.
@@ -26,10 +27,11 @@ U ~ L M^T, M being L without its last row l, has the singular values
 of the (r + 1) x r matrix [R; l] R^T, R from one Gram-Schmidt pass
 M = Q R; Golub-Kahan bidiagonalization turns it into a zero-diagonal
 tridiagonal of size 2r, whose eigenvalues are +/- them, not squared.
-One QL core solves both. The values enter only through the
-certificate's O(N) check against A, which raises ArithmeticError on a
-miss; the factor's discarded trace plus that miss bounds every value's
-error (Weyl).
+The values enter only through the certificate's O(N) check against A,
+which raises ArithmeticError on a miss; the factor's discarded trace
+plus rows times that miss bounds every value's error (Weyl).
+``_solved_blocks`` yields each block's r, miss, bound and nonzero values;
+the spectrum is those values, +/- them for odd l, and exact zeros.
 
 Every matrix built here depends only on row + col, so it is stored as its
 2N - 1 anti-diagonal values, the lists ``spectral.truncation_values`` and
@@ -82,6 +84,9 @@ HankelTruncation = namedtuple("HankelTruncation", "ell size entries")
 
 # p a float, size an int, alternating a bool, entries as above
 HilbertTypeMatrix = namedtuple("HilbertTypeMatrix", "p size alternating entries")
+
+# rank an int, deviation and bound floats, values the nonzero ones as a list
+_SolvedBlock = namedtuple("_SolvedBlock", "rank deviation bound values")
 
 # eigenvalues an ascending Spectrum, the other four floats
 SpectrumReport = namedtuple(
@@ -345,15 +350,7 @@ def symm_eigen(matrix):
     # the reversed matrix's lower triangle is the upper one read backwards
     low = [a[i][i:][::-1] for i in range(n - 1, -1, -1)]
     del a  # the solve holds one triangle of the matrix, not all of it
-    return _reversed_eigenvalues(low)
-
-
-def _reversed_eigenvalues(low):
-    """Ascending eigenvalues, as an array("d"), of a symmetric matrix
-    given by the lower triangle of the matrix with its order reversed
-    (row j holding entries 0..j); ``low`` is overwritten."""
-    d, e = _tridiagonalize(low)
-    return array("d", sorted(_tridiagonal_eigenvalues(d, e)))
+    return array("d", sorted(_tridiagonal_eigenvalues(*_tridiagonalize(low))))
 
 
 def _block_factor(values, rows, sign, p):
@@ -361,7 +358,8 @@ def _block_factor(values, rows, sign, p):
     order, of the rows x rows model A = (1/pi) H_p of a parity block with
     anti-diagonal values ``values`` that ``sign`` and the checkerboard
     conjugate to A or to A's first rows - 1 columns (``block_parameters``),
-    and the Weyl bound on the miss of the block's values.
+    with the block's deviation from that model and the trace that the
+    factor discards.
 
     A is the Cauchy matrix g_i g_j / (x_i + x_j), x_i = i + (1 - p)/2 and
     g_i = 1/sqrt(pi), of numerical rank O(log N log 1/eps) (Beckermann &
@@ -379,9 +377,8 @@ def _block_factor(values, rows, sign, p):
     ``_block_deviation``, which must find the conjugated block within
     _MODEL_TOLERANCE of A, relative to A's largest entry, or
     ArithmeticError is raised; it sees every flipped value, the corner
-    too. The bound is the trace of the positive semidefinite remainder S,
-    which bounds the 2-norm of S and of any columns of S, plus rows times
-    that deviation.
+    too. The trace of the positive semidefinite remainder S bounds the
+    2-norm of S and of any columns of S.
     """
     largest = 1.0 / (math.pi * (1.0 - p))  # A's first and largest entry
     deviation = _block_deviation(values, sign, p, rows)
@@ -404,22 +401,17 @@ def _block_factor(values, rows, sign, p):
         shifted = list(map(float(k).__add__, sums))  # x_i + x_k
         columns.append(list(map(truediv, map((g[k] / math.sqrt(top)).__mul__, g), shifted)))
         g = list(map(truediv, map(mul, g, range(-k, rows - k)), shifted))
-    return columns, sum(diagonal) + rows * deviation
+    return columns, deviation, sum(diagonal)
 
 
-def _square_block_eigenvalues(values, rows, sign, p):
-    """Eigenvalues, unsorted, of the rows x rows parity block with
-    anti-diagonal values ``values[:2 rows - 1]``, and the Weyl bound on
-    their miss: sign times those of the Gram matrix L^T L of its factor
-    (``_block_factor``), and rows - r exact 0.0."""
-    columns, bound = _block_factor(values, rows, sign, p)
+def _square_block_eigenvalues(columns, sign):
+    """The nonzero eigenvalues, unsorted, of a square parity block from
+    the columns of its factor L (``_block_factor``): sign times those of
+    the r x r Gram matrix L^T L."""
     # the Gram matrix's lower triangle, its order reversed as symm_eigen's
-    columns.reverse()
-    theta = _reversed_eigenvalues(
-        [[sum(map(mul, x, y)) for y in columns[: i + 1]] for i, x in enumerate(columns)]
-    )
-    eigenvalues = [sign * t for t in theta] + [0.0] * (rows - len(theta))
-    return eigenvalues, bound
+    columns = columns[::-1]
+    low = [[sum(map(mul, x, y)) for y in columns[: i + 1]] for i, x in enumerate(columns)]
+    return [sign * t for t in _tridiagonal_eigenvalues(*_tridiagonalize(low)) if t]
 
 
 def _gram_schmidt_rows(columns):
@@ -466,17 +458,15 @@ def _bidiagonal_chain(columns):
     return chain
 
 
-def _block_singular_values(values, cols, sign, p):
-    """Singular values, ascending, of the (cols + 1) x cols parity block
-    with anti-diagonal values ``values[:2 cols]``, and the Weyl bound on
-    their miss. The block is close to L M^T (``_block_factor``; M is L
-    without its last row l). One Gram-Schmidt pass gives M = Q R, so
-    L M^T = [Q R; l] R^T Q^T has the singular values of the (r + 1) x r
-    matrix C = [R; l] R^T, and QL solves C's Golub-Kahan chain
-    (``_bidiagonal_chain``) for +/- them. L M^T has rank at most cols, so
-    the cols largest are kept, padded with exact zeros below rank r.
+def _block_singular_values(columns, cols):
+    """The nonzero singular values, ascending, of the (cols + 1) x cols
+    parity block from the columns of its factor L (``_block_factor``):
+    the block is close to L M^T, M being L without its last row l. One
+    Gram-Schmidt pass gives M = Q R, so L M^T = [Q R; l] R^T Q^T has the
+    singular values of the (r + 1) x r matrix C = [R; l] R^T, and QL
+    solves C's Golub-Kahan chain (``_bidiagonal_chain``) for +/- them.
+    L M^T has rank at most cols, so at most the cols largest are kept.
     """
-    columns, bound = _block_factor(values, cols + 1, sign, p)
     r = len(columns)
     upper = _gram_schmidt_rows([column[:-1] for column in columns])
     last = [column[-1] for column in columns]
@@ -486,21 +476,30 @@ def _block_singular_values(values, cols, sign, p):
     pm = sorted(_tridiagonal_eigenvalues([0.0] * (2 * r), [0.0, *reversed(chain)]))
     # sigma from each +/- pair: >= 0 and ascending however they round
     sigma = [(plus - minus) / 2.0 for minus, plus in zip(reversed(pm[:r]), pm[r:])]
-    return [0.0] * (cols - r) + sigma[max(r - cols, 0) :], bound
+    return [s for s in sigma[max(r - cols, 0) :] if s]
+
+
+def _solved_blocks(ell, n):
+    """One ``_SolvedBlock`` per non-empty parity block of the order-ell,
+    size-n truncation, in ``_parity_blocks`` order: a factor and a core
+    solve each."""
+    for values, rows, cols, sign, p in _parity_blocks(ell, truncation_values(ell, n)):
+        if cols:  # N = 1 leaves one block empty
+            columns, deviation, trace = _block_factor(values, rows, sign, p)
+            if rows == cols:
+                nonzero = _square_block_eigenvalues(columns, sign)
+            else:
+                nonzero = _block_singular_values(columns, cols)
+            yield _SolvedBlock(len(columns), deviation, trace + rows * deviation, nonzero)
 
 
 def _truncation_eigenvalues(ell, n):
-    """Ascending eigenvalues of the order-ell, size-n truncation, as a
-    list, solved through its parity blocks (``spectral._parity_blocks``)."""
-    eigenvalues = []
-    for values, rows, cols, sign, p in _parity_blocks(ell, truncation_values(ell, n)):
-        if cols:  # N = 1 leaves one block empty
-            solve = _square_block_eigenvalues if rows == cols else _block_singular_values
-            eigenvalues += solve(values, cols, sign, p)[0]
+    """Ascending eigenvalues of the order-ell, size-n truncation, as a list:
+    the blocks' nonzero values, +/- them for odd ell, and exact zeros."""
+    eigenvalues = [v for block in _solved_blocks(ell, n) for v in block.values]
     if ell % 2:
-        # +/- those of U, a 0 at odd N; 0.0 - v keeps zeros from -0.0
-        eigenvalues += [0.0 - v for v in eigenvalues] + [0.0] * (n % 2)
-    return sorted(eigenvalues)
+        eigenvalues += [-v for v in eigenvalues]  # nonzero, so never -0.0
+    return sorted(eigenvalues + [0.0] * (n - len(eigenvalues)))
 
 
 def spectrum_report(ell, n):

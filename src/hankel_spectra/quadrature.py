@@ -123,15 +123,13 @@ def _combine(panels):
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
-def _check_seed_panels(count, max_panels, error=ValueError):
-    # Callers that derive their breakpoints from a count check it here
-    # before building the list, so an oversized request fails before it
-    # allocates.
+def _check_seed_panels(name, count, max_panels, error=QuadratureBudgetError):
+    # Callers that derive their breakpoints from a count of valid input
+    # check it here before building the list, so an oversized request fails
+    # as a budget failure before it allocates; integrate_adaptive's check of
+    # the breakpoints its caller passed raises ValueError.
     if count > max_panels:
-        raise error(
-            f"integrate_adaptive: {count} seed panels exceed "
-            f"max_panels = {max_panels}"
-        )
+        raise error(f"{name}: {count} seed panels exceed max_panels = {max_panels}")
 
 
 def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANELS):
@@ -156,7 +154,7 @@ def integrate_adaptive(f, a, b, tol, breakpoints=(), max_panels=DEFAULT_MAX_PANE
     for point in breakpoints:
         _check_finite("integrate_adaptive", "breakpoint", point)
     points = [a, *sorted(p for p in set(breakpoints) if a < p < b), b]
-    _check_seed_panels(len(points) - 1, max_panels)
+    _check_seed_panels("integrate_adaptive", len(points) - 1, max_panels, ValueError)
     heap = []
     for u, v in zip(points, points[1:]):
         value, err = _gk15_panel(f, u, v)
@@ -217,7 +215,7 @@ def _symbol_transform(symbol, x, tol):
     The seed count is checked before the seeds are built; past the budget
     it raises QuadratureBudgetError, as the input itself is valid."""
     pieces = max(1, math.ceil(2.0 * abs(x) / math.pi))
-    _check_seed_panels(pieces, DEFAULT_MAX_PANELS, QuadratureBudgetError)
+    _check_seed_panels("integrate_adaptive", pieces, DEFAULT_MAX_PANELS)
     seeds = [-1.0 + 2.0 * k / pieces for k in range(1, pieces)]
     return integrate_adaptive(
         lambda t: 2.0 * symbol(t) * cmath.exp(complex(0.0, -t * x)),

@@ -72,8 +72,49 @@ def test_kernel_rejects_bad_order(capsys):
 
 
 def test_kernel_rejects_empty_grid(capsys):
-    code, _ = run_cli(capsys, "kernel", "--ell", "1", "--xmin", "2.0", "--xmax", "1.0", "--num", "4")
+    code = cli.main(["kernel", "--ell", "1", "--xmin", "2.0", "--xmax", "1.0", "--num", "4"])
     assert code == 2
+    assert "grid needs --xmin < --xmax, got 2.0 >= 1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("kernel", "--ell", "1"), "provide either --x or all of --xmin/--xmax/--num"),
+        (
+            ("density", "--p", "0"),
+            "provide either --lambda or all of --lambda-min/--lambda-max/--num",
+        ),
+        (
+            ("density", "--p", "0", "--lambda-min", "5", "--lambda-max", "5", "--num", "3"),
+            "grid needs --lambda-min < --lambda-max, got 5.0 >= 5.0",
+        ),
+        (
+            ("kernel", "--ell", "1", "--xmin", "0.5", "--xmax", "2", "--num", "1"),
+            "grid needs --num >= 2, got 1",
+        ),
+        (
+            ("kernel", "--ell", "1", "--x", "1", "--xmin", "0.5", "--xmax", "2", "--num", "3"),
+            "give either --x or the grid --xmin/--xmax/--num, not both",
+        ),
+        (
+            ("density", "--p", "0", "--lambda", "1", "--lambda-max", "5"),
+            "give either --lambda or the grid --lambda-min/--lambda-max/--num, not both",
+        ),
+        (
+            ("kernel", "--ell", "1", "--xmin", "-1e308", "--xmax", "1e308", "--num", "3",
+             "--method", "conv"),
+            "grid span --xmax - --xmin overflows a double",
+        ),
+    ],
+)
+def test_grid_flags_are_refused_by_name(capsys, argv, message):
+    # a point flag and a grid flag do not mix, and a grid whose step
+    # overflows is refused before any point is built
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"{argv[0]}: configuration error: {message}\n"
 
 
 def test_density_row_values(capsys):

@@ -24,6 +24,7 @@ from hankel_spectra.kernels import (
     symbol_psi_ell,
 )
 from hankel_spectra.quadrature import (
+    QuadratureBudgetError,
     _poly_symbol_reference,
     _xi_pow_reference,
     fourier_symbol_oracle,
@@ -567,10 +568,11 @@ def test_lp_diagnostic_refuses_closed_values_its_tolerance_disowns():
 
 
 def test_lp_diagnostic_checks_the_panel_budget_before_building_seeds():
-    # about 3.2e8 asymptotic zeros would be seeded
+    # about 3.2e8 asymptotic zeros would be seeded; the input is valid, so
+    # the refusal is a budget failure (exit 3), not a configuration error
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="seed panels exceed"):
+        with pytest.raises(QuadratureBudgetError, match="^lp_diagnostic: .* seed panels exceed"):
             lp_diagnostic(1, 1.0, 1e9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

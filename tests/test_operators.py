@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -156,13 +157,16 @@ def test_parity_blocks_split_the_truncation(ell):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 32, 1024])
 def test_block_certificate_is_the_largest_guard_deviation(n):
+    # the certificate is the largest deviation that the size-2n solve's
+    # guard recorded for its blocks
     for ell in range(9):
         values = spectral.truncation_values(ell, 2 * n)
         guard = max(
             spectral._block_deviation(block, sign, p, rows)
             for block, rows, _, sign, p in spectral._parity_blocks(ell, values)
         )
-        assert spectral.block_certificate(ell, n).max_abs_deviation == guard, ell
+        recorded = max(block.deviation for block in op._solved_blocks(ell, 2 * n))
+        assert spectral.block_certificate(ell, n).max_abs_deviation == guard == recorded, ell
 
 
 @pytest.mark.parametrize("ell, flipped", [(0, 0), (0, 1), (3, 0), (6, 1), (7, 0)])
@@ -505,65 +509,81 @@ def test_spectrum_report_blocks_match_the_full_solve(ell, n):
             assert values[n // 2] == 0.0
 
 
+def _blocks(ell, n):
+    return spectral._parity_blocks(ell, spectral.truncation_values(ell, n))
+
+
+def _solved(ell, n):
+    """(parity block, record of its solve) for each non-empty block."""
+    blocks = [block for block in _blocks(ell, n) if block[2]]
+    return list(zip(blocks, op._solved_blocks(ell, n), strict=True))
+
+
+def _with_zeros(block, size):
+    """A solved block's values, ascending, with its exact zeros."""
+    return sorted(block.values + [0.0] * (size - len(block.values)))
+
+
+# what the profile hook in the next test reads from each call's arguments
+_CALL_SIZES = {
+    "_block_factor": lambda args: args["rows"],
+    "_tridiagonalize": lambda args: len(args["low"]),
+    "_gram_schmidt_rows": lambda args: len(args["columns"]),
+    "_bidiagonal_chain": lambda args: (len(args["columns"][0]), len(args["columns"])),
+    "_tridiagonal_eigenvalues": lambda args: len(args["d"]),
+    "symm_eigen": lambda args: np.shape(args["matrix"]),
+}
+
+
 @pytest.mark.parametrize(
     "ell, n, shapes",
     [
-        (0, 64, [("_square_block_eigenvalues", 32), ("_square_block_eigenvalues", 32)]),
-        (1, 64, [("_square_block_eigenvalues", 32)]),
-        (0, 33, [("_square_block_eigenvalues", 17), ("_square_block_eigenvalues", 16)]),
-        (1, 33, [("_block_singular_values", (17, 16))]),
-        (2, 1, [("_square_block_eigenvalues", 1)]),
-        (0, 1024, [("_square_block_eigenvalues", 512), ("_square_block_eigenvalues", 512)]),
-        (3, 1024, [("_square_block_eigenvalues", 512)]),
-        (7, 181, [("_block_singular_values", (91, 90))]),
+        (0, 64, [(32, 32), (32, 32)]),
+        (1, 64, [(32, 32)]),
+        (0, 33, [(17, 17), (16, 16)]),
+        (1, 33, [(17, 16)]),
+        (2, 1, [(1, 1)]),
+        (0, 1024, [(512, 512), (512, 512)]),
+        (3, 1024, [(512, 512)]),
+        (7, 181, [(91, 90)]),
     ],
 )
-def test_spectrum_report_solves_the_parity_blocks(monkeypatch, ell, n, shapes):
+def test_spectrum_report_solves_the_parity_blocks(ell, n, shapes):
     # one pivoted factor per block, then one QL core: the r x r Gram
     # matrix of a square block, given by one triangle and tridiagonalized,
     # or, for the (k + 1) x k block U at odd N, one Gram-Schmidt pass and
     # the Golub-Kahan chain of an (r + 1) x r matrix, a tridiagonal of
-    # size 2r; symm_eigen never runs
+    # size 2r; symm_eigen never runs. A profile hook reads the calls'
+    # arguments without replacing any function; r is the record's rank.
     calls = []
-    for name, shape in (
-        ("_square_block_eigenvalues", lambda values, rows, sign, p: rows),
-        ("_block_singular_values", lambda values, cols, sign, p: (cols + 1, cols)),
-        ("_block_factor", lambda values, rows, sign, p: rows),
-        ("_reversed_eigenvalues", lambda low: (len(low), len(low[-1]))),
-        ("_tridiagonalize", len),
-        ("_gram_schmidt_rows", len),
-        ("_bidiagonal_chain", lambda columns: (len(columns[0]), len(columns))),
-        ("_tridiagonal_eigenvalues", lambda d, e: len(d)),
-        ("symm_eigen", np.shape),
-    ):
-        solve = getattr(op, name)
 
-        def recording(*args, name=name, shape=shape, solve=solve):
-            calls.append((name, shape(*args)))
-            return solve(*args)
+    def profile(frame, event, arg):
+        name = frame.f_code.co_name
+        if event == "call" and frame.f_globals is vars(op) and name in _CALL_SIZES:
+            calls.append((name, _CALL_SIZES[name](frame.f_locals)))
 
-        monkeypatch.setattr(op, name, recording)
-    op.spectrum_report(ell, n)
-    outer = ("_square_block_eigenvalues", "_block_singular_values")
-    assert [call for call in calls if call[0] in outer] == shapes
-    assert len(calls) == 5 * len(shapes)
-    for start in range(0, len(calls), 5):
-        (name, rows), (_, factor), *core = calls[start : start + 5]
-        names, sizes = zip(*core)
-        if name == "_square_block_eigenvalues":
-            assert names == ("_reversed_eigenvalues", "_tridiagonalize", "_tridiagonal_eigenvalues")
-            (r, width), tridiagonal, eigenvalues = sizes
-            assert factor == rows and r == width == tridiagonal == eigenvalues
-            assert r <= min(rows, 25)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        op.spectrum_report(ell, n)
+    finally:
+        sys.setprofile(previous)
+    solved = _solved(ell, n)
+    assert [(rows, cols) for (_, rows, cols, _, _), _ in solved] == shapes
+    calls = iter(calls)
+    for (_, rows, cols, _, _), block in solved:
+        r = block.rank
+        if rows == cols:
+            core = [("_tridiagonalize", r), ("_tridiagonal_eigenvalues", r)]
         else:
-            assert names == ("_gram_schmidt_rows", "_bidiagonal_chain", "_tridiagonal_eigenvalues")
-            r, chain, eigenvalues = sizes
-            assert factor == rows[0] and chain == (r + 1, r) and eigenvalues == 2 * r
-            assert r <= min(factor, 25)
-
-
-def _blocks(ell, n):
-    return spectral._parity_blocks(ell, spectral.truncation_values(ell, n))
+            core = [
+                ("_gram_schmidt_rows", r),
+                ("_bidiagonal_chain", (r + 1, r)),
+                ("_tridiagonal_eigenvalues", 2 * r),
+            ]
+        assert [next(calls) for _ in range(len(core) + 1)] == [("_block_factor", rows), *core]
+        assert r <= min(rows, 25) and len(block.values) <= min(r, cols)
+    assert next(calls, None) is None
 
 
 @pytest.mark.parametrize("n", [127, 128, 255, 256, 512])
@@ -579,32 +599,39 @@ def test_square_block_misses_stay_within_the_discarded_trace(ell, n):
     # Weyl: the discarded remainder is positive semidefinite, so its trace
     # bounds every eigenvalue's miss; the Gram core's QL and LAPACK each
     # add rounding of about an ulp of the largest eigenvalue
-    for values, rows, _, sign, p in _blocks(ell, n):
-        got, bound = op._square_block_eigenvalues(values, rows, sign, p)
-        block = np.array(op._hankel_rows(values, rows))
-        want = np.linalg.eigvalsh(block)
-        miss = np.max(np.abs(np.sort(got) - want))
+    for (values, rows, _, _, _), block in _solved(ell, n):
+        want = np.linalg.eigvalsh(np.array(op._hankel_rows(values, rows)))
+        miss = np.max(np.abs(np.array(_with_zeros(block, rows)) - want))
         top = np.max(np.abs(want))
-        assert 0.0 <= bound < 1e-13 * top
-        assert miss <= bound + 4.0 * np.finfo(float).eps * top
-        assert got.count(0.0) >= rows - 31
+        assert 0.0 <= block.bound < 1e-13 * top
+        assert miss <= block.bound + 4.0 * np.finfo(float).eps * top
+        assert len(block.values) <= 31
 
 
 @pytest.mark.parametrize("ell, n", [(0, 48), (3, 48), (2, 41), (0, 64), (3, 64)])
 def test_square_block_factor_matches_an_exact_solve(ell, n):
     # the factor reads the model (1/pi) H_p; 40 digits of its spectrum
     # are the exact reference, up to the block's own deviation, which
-    # the returned bound covers
+    # the recorded bound covers
     mpmath = pytest.importorskip("mpmath")
-    for values, rows, _, sign, p in _blocks(ell, n):
-        got, bound = op._square_block_eigenvalues(values, rows, sign, p)
+    for (_, rows, _, sign, p), block in _solved(ell, n):
         with mpmath.workdps(40):
             x = [i + (1 - mpmath.mpf(p)) / 2 for i in range(rows)]
             model = mpmath.matrix([[1 / (mpmath.pi * (xi + xj)) for xj in x] for xi in x])
             want = sorted(sign * float(v) for v in mpmath.eigsy(model, eigvals_only=True))
         top = max(map(abs, want))
-        miss = max(abs(x - y) for x, y in zip(sorted(got), want))
-        assert miss <= bound + 4.0 * np.finfo(float).eps * top, (rows, miss, bound)
+        miss = max(abs(x - y) for x, y in zip(_with_zeros(block, rows), want))
+        assert miss <= block.bound + 4.0 * np.finfo(float).eps * top, (rows, miss, block.bound)
+
+
+def test_every_block_at_the_size_cap_keeps_the_documented_rank_and_bound():
+    # measured: r = 29 to 30 and bound <= 4.8e-14 for every order; the
+    # odd order at odd size reads the (k + 1) x k block U
+    cap = spectral.MAX_TRUNCATION_SIZE
+    sizes = [(ell, cap) for ell in range(9)] + [(1, cap - 1)]
+    for ell, n in sizes:
+        for block in op._solved_blocks(ell, n):
+            assert block.rank <= 31 and block.bound < 1e-13, (ell, n, block.rank, block.bound)
 
 
 def test_valid_blocks_sit_far_inside_the_model_guard():
@@ -625,7 +652,7 @@ def test_a_block_value_moved_by_1e_12_is_a_numerical_failure(ell, n, index, dire
         moved = list(values)
         moved[index] *= 1.0 + direction * 1e-12
         with pytest.raises(ArithmeticError, match="not positive semidefinite"):
-            op._square_block_eigenvalues(moved, rows, sign, p)
+            op._block_factor(moved, rows, sign, p)
 
 
 @pytest.mark.parametrize("ell, n", [(0, 1), (1, 1), (1, 2), (2, 7), (3, 45), (4, 64), (7, 181)])
@@ -734,14 +761,14 @@ def test_odd_order_at_odd_size_matches_lapack(ell):
 def test_odd_block_misses_stay_within_the_factor_bound(ell, n):
     # U ~ L M^T misses the model's first columns by columns of the
     # positive semidefinite remainder, whose trace bounds their norm
-    [(values, _, cols, sign, p)] = _blocks(ell, n)
-    got, bound = op._block_singular_values(values, cols, sign, p)
-    block = np.array([values[row : row + cols] for row in range(cols + 1)])
-    want = np.linalg.svd(block, compute_uv=False)[::-1]
-    assert len(got) == cols and list(got) == sorted(got)
-    assert 0.0 <= bound < 1e-13 * want[-1]
-    miss = np.max(np.abs(np.array(got) - want))
-    assert miss <= bound + 4.0 * np.finfo(float).eps * want[-1], (miss, bound)
+    [((values, _, cols, _, _), block)] = _solved(ell, n)
+    matrix = np.array([values[row : row + cols] for row in range(cols + 1)])
+    want = np.linalg.svd(matrix, compute_uv=False)[::-1]
+    assert len(block.values) <= cols and block.values == sorted(block.values)
+    assert all(v > 0.0 for v in block.values)
+    assert 0.0 <= block.bound < 1e-13 * want[-1]
+    miss = np.max(np.abs(np.array(_with_zeros(block, cols)) - want))
+    assert miss <= block.bound + 4.0 * np.finfo(float).eps * want[-1], (miss, block.bound)
 
 
 @pytest.mark.parametrize("ell, n", [(1, 47), (3, 63)])
@@ -749,14 +776,13 @@ def test_odd_block_matches_an_exact_svd(ell, n):
     # 40 digits of the singular values of the model's first k columns are
     # the exact reference, up to the block's own deviation
     mpmath = pytest.importorskip("mpmath")
-    [(values, _, cols, sign, p)] = _blocks(ell, n)
-    got, bound = op._block_singular_values(values, cols, sign, p)
+    [((_, _, cols, _, p), block)] = _solved(ell, n)
     with mpmath.workdps(40):
         x = [i + (1 - mpmath.mpf(p)) / 2 for i in range(cols + 1)]
         model = mpmath.matrix([[1 / (mpmath.pi * (xi + xj)) for xj in x[:cols]] for xi in x])
         want = sorted(float(v) for v in mpmath.svd_r(model, compute_uv=False))
-    miss = max(abs(x - y) for x, y in zip(got, want))
-    assert miss <= bound + 4.0 * np.finfo(float).eps * want[-1], (miss, bound)
+    miss = max(abs(x - y) for x, y in zip(_with_zeros(block, cols), want))
+    assert miss <= block.bound + 4.0 * np.finfo(float).eps * want[-1], (miss, block.bound)
 
 
 def _chain_singular_values(matrix):
@@ -832,6 +858,11 @@ _RECORDS = [
         op.SpectrumReport,
         ("eigenvalues", "min", "max", "containment_violation", "coverage_gap"),
         lambda: op.spectrum_report(1, 4),
+    ),
+    (
+        op._SolvedBlock,
+        ("rank", "deviation", "bound", "values"),
+        lambda: next(op._solved_blocks(3, 33)),
     ),
 ]
 

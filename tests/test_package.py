@@ -338,3 +338,25 @@ def test_real_arguments_reject_complex_numbers(function, args, i):
     with pytest.raises(ValueError, match=f"^{name}: .* = 1j must be finite and real$"):
         function(*args[:i], 1j, *args[i + 1 :])
     assert function(*args[:i], np.float64(args[i]), *args[i + 1 :]) == function(*args)
+
+
+# Out-of-domain calls with finite arguments: each raises ValueError
+# naming its function.
+_DOMAIN_REFUSALS = [
+    ("k_asymptotic", lambda: kernels.k_asymptotic(1, 0.0)),
+    ("lp_diagnostic", lambda: kernels.lp_diagnostic(1, 1.0, 0.0)),
+    ("lp_diagnostic", lambda: kernels.lp_diagnostic(1, 1.0, -5.0)),
+    ("integrate_adaptive", lambda: quadrature.integrate_adaptive(math.exp, 1.0, 1.0, 1e-10)),
+    ("integrate_adaptive", lambda: quadrature.integrate_adaptive(math.exp, 0.0, 1.0, 0.0)),
+    ("e1_scaled", lambda: specfun.e1_scaled(-2.0)),
+    ("gamma_abs_sq", lambda: specfun.gamma_abs_sq(0.0, 0.0)),
+    ("damped_moment_shifted", lambda: specfun.damped_moment_shifted(1, -1 + 0j, 1.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call", _DOMAIN_REFUSALS, ids=[f"{name}-{i}" for i, (name, _) in enumerate(_DOMAIN_REFUSALS)]
+)
+def test_out_of_domain_arguments_are_refused_by_name(name, call):
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        call()

@@ -72,6 +72,7 @@ def test_sinc_derivative_rejects_large_order():
 
 
 def test_ein_e1_frozen_values():
+    assert ein(0) == 0j
     assert ein(1.0) == pytest.approx(0.7965995992970534, rel=1e-15)
     assert e1(1.0) == pytest.approx(0.2193839343955205, rel=1e-15)
     assert e1_scaled(1.0) == pytest.approx(0.5963473623231946, rel=1e-15)
