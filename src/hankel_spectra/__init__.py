@@ -15,6 +15,7 @@ _EXPORTS = {
     "combinatorics": ("alternating_factorial_identity", "p_poly", "sum_identity"),
     "kernels": (
         "KernelEvaluation",
+        "X_MAX_CLOSED",
         "X_MIN_CLOSED",
         "evaluate",
         "exp_poly_self_convolution",

@@ -7,17 +7,17 @@ sinc-derivative sum); the fully explicit route k_closed expands the
 symbol in partial fractions of 1/(1-it), which gives once per order an
 exact linear form over A(x) x^k, sin(x) x^k and cos(x) x^k plus one
 multiple of sinc(x), with A from an exact real power series up to
-|x(-1+i)| = 12 and from e1_scaled beyond (the tests compare it with a
-second, term-by-term derivation); fourier_symbol_oracle from the
+|x(-1+i)| = 12 and from E1's continued fraction beyond (the tests compare
+it with a second, term-by-term derivation); fourier_symbol_oracle from the
 quadrature module is the slow reference; and k_asymptotic is the
 large-x limit shape. Their mutual agreement is the package's main
 correctness argument, so none of them is allowed to call into another's
 machinery.
 
-Every route returns a ``KernelEvaluation`` named tuple.
+Every route returns a ``KernelEvaluation`` named tuple. ``evaluate``
+checks its arguments once and calls the closed route's unchecked core.
 """
 
-import cmath
 import math
 import sys
 from collections import namedtuple
@@ -31,13 +31,18 @@ from .specfun import (
     _SERIES_RADIUS,
     _check_finite,
     _check_int,
+    _e1_cf_scaled,
     _gaussian_power,
+    _sinc,
     _sinc_derivative,
-    e1_scaled,
-    sinc,
 )
 
 X_MIN_CLOSED = 0.0
+# Past this x k_closed raises OverflowError: from x = 3.18e307 on, 1/z on
+# A's ray z = x(-1+i) is subnormal, order 2 misses its estimate (by up to
+# 1.15x on [6e307, 9e307]) and from about 8.99e307 E1's continued fraction
+# stops converging.
+X_MAX_CLOSED = 3e307
 
 # x at which the automatic route passes from k_conv to the closed form,
 # which holds from x = 0 at a thousandth of the cost: moving it would raise
@@ -145,7 +150,7 @@ def k_conv(ell, x):
     _check_finite("k_conv", "x", x)
     if ell == 0:
         return KernelEvaluation(
-            x=x, value=2.0 / math.pi * sinc(x), route="convolution", error_estimate=0.0
+            x=x, value=2.0 / math.pi * _sinc(x), route="convolution", error_estimate=0.0
         )
 
     def integrand(y):
@@ -198,17 +203,19 @@ def _a_series():
     return tuple(bins)
 
 
-def _a_value(x):
-    # integral over (0, inf) of e^(-y) sinc(x - y) dy, x >= 0,
-    #   = pi e^(-x) + e^(-x) Im E1(-x + ix):
-    # the real series of _a_series up to _A_SERIES_X, E1 beyond
+def _a_value(x, s, c):
+    # integral over (0, inf) of e^(-y) sinc(x - y) dy, x >= 0, s = sin x,
+    # c = cos x: pi e^(-x) + Im(e^(-ix) e^z E1(z)) on z = x(-1+i). The real
+    # series of _a_series serves up to _A_SERIES_X; beyond, e^z E1(z) is the
+    # continued fraction, the branch e1_scaled takes on this ray (the tests
+    # check that it does), and e^(-ix) is c - i s, bit for bit what
+    # cmath.exp(-ix) gives
     if x <= _A_SERIES_X:
         acc = 0.0
         for coef in _a_series()[int(x * _A_BINS_PER_UNIT)]:
             acc = acc * x + coef
         return math.exp(-x) * acc
-    z = complex(-x, x)
-    return math.pi * math.exp(-x) + (cmath.exp(complex(0.0, -x)) * e1_scaled(z)).imag
+    return math.pi * math.exp(-x) + (complex(c, -s) * _e1_cf_scaled(complex(-x, x))).imag
 
 
 @lru_cache(maxsize=None)
@@ -246,11 +253,14 @@ def k_closed(ell, x):
     plus a fixed rational linear combination of A(x) x^k, sin(x) x^k and
     cos(x) x^k (k < ell), with A the damped sinc integral behind the
     E1(-x + ix) terms. Its coefficients are built once per order in exact
-    arithmetic (on first use, then cached). A call costs one value of A,
-    one Horner step per row of the three polynomials and one sinc. Up to
-    x = 12/sqrt(2), where e1_scaled would take its Ein series, A is
-    e^(-x) (pi/4 + sum b_k x^k) with exact rational b_k, summed by Horner
-    to a stated tail bound; beyond, it costs one e1_scaled call.
+    arithmetic (on first use, then cached). A call costs one sin x and
+    one cos x, one value of A and one Horner step per row of the three
+    polynomials; the sinc term is sin(x)/x. Up to x = 12/sqrt(2), where
+    e1_scaled would take its Ein series, A is e^(-x) (pi/4 + sum b_k x^k)
+    with exact rational b_k, summed by Horner to a stated tail bound;
+    beyond, it is pi e^(-x) + Im((cos x - i sin x) e^z E1(z)) on
+    z = x(-1+i), with e^z E1(z) from the continued fraction that
+    e1_scaled would pick there, called without e1_scaled's checks.
 
     A is analytic, with A(0) = pi/4, so the route serves every x >= 0
     (X_MIN_CLOSED is 0; k_conv serves negative x): against 30-digit
@@ -261,15 +271,33 @@ def k_closed(ell, x):
     noise scaled by the total absolute mass of the sum, so it grows with
     that cancellation, plus two ulps of the value, which the mass term
     alone can miss at order 1, where the mass is about the value. Where
-    the sum or that mass leaves the double range it raises OverflowError.
+    the sum or that mass leaves the double range it raises OverflowError,
+    and so it does past X_MAX_CLOSED = 3e307, below x = 3.18e307, where
+    the continued fraction's e^z E1(z), about 1/z, turns subnormal.
     """
     ell = _check_int("k_closed", "ell", ell, 1, L_MAX)
     _check_finite("k_closed", "x", x)
+    _check_closed_x(x)
+    return _closed_value(ell, x)
+
+
+def _check_closed_x(x):
+    # the closed route's domain, named after k_closed whichever caller asks
     if x < X_MIN_CLOSED:
         raise ValueError(
             f"k_closed: x = {x} below X_MIN_CLOSED = {X_MIN_CLOSED}; use k_conv"
         )
-    a, s, c = _a_value(x), math.sin(x), math.cos(x)
+    if x > X_MAX_CLOSED:
+        raise OverflowError(
+            f"k_closed: x = {x} exceeds X_MAX_CLOSED = {X_MAX_CLOSED}, past which "
+            "e^z E1(z) on z = x(-1+i) is subnormal"
+        )
+
+
+def _closed_value(ell, x):
+    # k_closed after its checks: ell in [1, L_MAX], x in the closed domain
+    s, c = math.sin(x), math.cos(x)
+    a = _a_value(x, s, c)
     abs_a, abs_s, abs_c = abs(a), abs(s), abs(c)
     total = 0.0
     abs_mass = 0.0
@@ -277,17 +305,14 @@ def k_closed(ell, x):
     for ca, cs, cc, qa, qs, qc in _closed_form(ell):
         total = total * x + ca * a + cs * s + cc * c
         abs_mass = abs_mass * x + qa * abs_a + qs * abs_s + qc * abs_c
-    term = 2.0 * (-1) ** ell * sinc(x)
+    term = (-2.0 if ell % 2 else 2.0) * (s / x if x else 1.0)
     total += term
     abs_mass += abs(term)
     if not (math.isfinite(total) and math.isfinite(abs_mass)):
         raise OverflowError(f"k_closed: the sum at ell = {ell}, x = {x} overflows")
     value = total / math.pi
     return KernelEvaluation(
-        x=x,
-        value=value,
-        route="closed",
-        error_estimate=abs_mass / math.pi * 5e-16 + 2.0 * math.ulp(value),
+        x, value, "closed", abs_mass / math.pi * 5e-16 + 2.0 * math.ulp(value)
     )
 
 
@@ -304,23 +329,23 @@ def evaluate(ell, x, method="auto"):
     """Route dispatcher: closed form for x >= 0.1, convolution below, the
     quadrature oracle only on demand, with the error estimate that its
     adaptive quadrature measured. Order 0 is always the exact sinc
-    formula."""
+    formula. The closed route refuses x as k_closed does, with the same
+    messages, and returns the same record."""
     if method not in ("auto", "closed", "conv", "oracle"):
         raise ValueError(f"evaluate: unknown method {method!r}")
     ell = _check_int("evaluate", "ell", ell, 0, L_MAX)
     _check_finite("evaluate", "x", x)
     if ell == 0 and method in ("auto", "closed"):
-        return KernelEvaluation(
-            x=x, value=2.0 / math.pi * sinc(x), route="closed", error_estimate=0.0
-        )
+        return KernelEvaluation(x, 2.0 / math.pi * _sinc(x), "closed", 0.0)
     if method == "auto":
         method = "closed" if x >= _CROSSOVER else "conv"
     if method == "closed":
-        return k_closed(ell, x)
+        _check_closed_x(x)
+        return _closed_value(ell, x)
     if method == "conv":
         return k_conv(ell, x)
     value, error = quadrature._symbol_oracle(ell, x)
-    return KernelEvaluation(x=x, value=value, route="oracle", error_estimate=error)
+    return KernelEvaluation(x, value, "oracle", error)
 
 
 def lp_diagnostic(ell, p, big_x):
@@ -348,7 +373,7 @@ def lp_diagnostic(ell, p, big_x):
     tol = 1e-5
 
     def integrand(x):
-        record = k_closed(ell, x)
+        record = _closed_value(ell, x)
         if record.error_estimate > tol:
             raise ArithmeticError(
                 f"lp_diagnostic: error estimate {record.error_estimate:.3e} > {tol} at x = {x}"

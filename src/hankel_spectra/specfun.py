@@ -9,6 +9,7 @@ two families of damped integrals with elementary closed forms.
 import cmath
 import math
 import operator
+import sys
 
 L_MAX = 8
 
@@ -27,6 +28,10 @@ _SERIES_RADIUS_POS = 4.0
 _WIDE_ARG = 5.0 * math.pi / 6.0
 _ASYMPTOTIC_RADIUS = 40.0
 _CF_MAX_ITER = 400
+# Past this modulus 1/z, and with it e^z E1(z), is subnormal: the continued
+# fraction loses digits there and, off the two axes, stops converging from
+# |z| of about 1e308 on.
+_SUBNORMAL_MODULUS = 1.0 / sys.float_info.min
 _SERIES_MAX_ITER = 2000
 
 # The sinc-derivative Taylor series is accurate for any |x| but its terms
@@ -134,14 +139,31 @@ def _scaled_route(z):
     # noise of the alternating series grows like e^|z| ulp, so the series
     # sector must stay small there; with Re z <= 0 the result is never
     # exponentially small and the series stays accurate out to radius 12,
-    # and to radius 40 in the wide-argument sector.
-    if abs(z) <= _SERIES_RADIUS_POS:
+    # and to radius 40 in the wide-argument sector. hypot is abs(z) without
+    # its OverflowError past the largest double.
+    modulus = math.hypot(z.real, z.imag)
+    if modulus <= _SERIES_RADIUS_POS:
         return None
-    if z.real <= 0.0 and abs(z) <= _SERIES_RADIUS:
+    if z.real <= 0.0 and modulus <= _SERIES_RADIUS:
         return None
     if abs(cmath.phase(z)) > _WIDE_ARG:
-        return None if abs(z) < _ASYMPTOTIC_RADIUS else _e1_asymptotic_scaled
+        return None if modulus < _ASYMPTOTIC_RADIUS else _e1_asymptotic_scaled
     return _e1_cf_scaled
+
+
+def _scaled(name, route, z):
+    # route(z) = e^z E1(z) off the series sector; the continued fraction
+    # fails where 1/z is subnormal, and that is the overflow of |z|
+    try:
+        return route(z)
+    except ArithmeticError as error:
+        modulus = math.hypot(z.real, z.imag)
+        if modulus > _SUBNORMAL_MODULUS:
+            raise OverflowError(
+                f"{name}: z = {z!r} overflows the continued fraction: |z| = "
+                f"{modulus:.6g} > {_SUBNORMAL_MODULUS:.6g}, where 1/z is subnormal"
+            ) from None
+        raise ArithmeticError(f"{name}: {error}") from None
 
 
 def _ein_series(z):
@@ -183,8 +205,7 @@ def _e1_cf_scaled(z):
         if abs(delta - 1.0) <= 4.5e-16:
             return 1.0 / f
     raise ArithmeticError(
-        "e1_scaled: continued fraction failed to converge "
-        f"(z = {z!r}); argument too close to the branch cut"
+        f"continued fraction failed to converge in {_CF_MAX_ITER} steps (z = {z!r})"
     )
 
 
@@ -218,7 +239,8 @@ def _unscaled(name, z, scaled):
 def ein(z):
     """Entire complementary exponential integral Ein(z).
 
-    Raises OverflowError where |Ein(z)| exceeds the double range.
+    Raises OverflowError where |Ein(z)| exceeds the double range, and where
+    the continued fraction for e^z E1(z) stalls past |z| = 4.49e307.
     """
     _check_finite("ein", "z", z, complex_domain=True)
     z = complex(z)
@@ -227,13 +249,14 @@ def ein(z):
         return _ein_series(z)
     # Off the cut and away from the origin: recover Ein from e^z E1(z)
     # through E1 = Ein - log - gamma.
-    return _unscaled("ein", z, route(z)) + cmath.log(z) + EULER_GAMMA
+    return _unscaled("ein", z, _scaled("ein", route, z)) + cmath.log(z) + EULER_GAMMA
 
 
 def e1(z):
     """Principal-branch exponential integral E1(z), z not on (-inf, 0].
 
-    Raises OverflowError where |E1(z)| exceeds the double range.
+    Raises OverflowError where |E1(z)| exceeds the double range, and where
+    the continued fraction for e^z E1(z) stalls past |z| = 4.49e307.
     """
     _check_finite("e1", "z", z, complex_domain=True)
     z = complex(z)
@@ -242,11 +265,15 @@ def e1(z):
     route = _scaled_route(z)
     if route is None:
         return _ein_series(z) - cmath.log(z) - EULER_GAMMA
-    return _unscaled("e1", z, route(z))
+    return _unscaled("e1", z, _scaled("e1", route, z))
 
 
 def e1_scaled(z):
-    """exp(z) * E1(z) without forming exp(z), z not on (-inf, 0]."""
+    """exp(z) * E1(z) without forming exp(z), z not on (-inf, 0].
+
+    Raises OverflowError where its continued fraction stalls past
+    |z| = 4.49e307, where 1/z, about the value, is subnormal.
+    """
     _check_finite("e1_scaled", "z", z, complex_domain=True)
     z = complex(z)
     if _on_cut(z):
@@ -256,7 +283,7 @@ def e1_scaled(z):
         # in the series sector either |z| <= 4 (exp bounded by e^4) or
         # Re z <= 0 (exp only shrinks the series result)
         return cmath.exp(z) * (_ein_series(z) - cmath.log(z) - EULER_GAMMA)
-    return route(z)
+    return _scaled("e1_scaled", route, z)
 
 
 # Stirling series coefficients B_2k / (2k (2k-1)) for k = 1..8.

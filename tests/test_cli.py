@@ -545,6 +545,21 @@ def test_closed_kernel_at_huge_x_prints_a_value_or_reports_overflow(capsys, ell,
         assert "overflows" in captured.err and "continued fraction" not in captured.err
 
 
+@pytest.mark.parametrize("method", ["auto", "closed"])
+@pytest.mark.parametrize("ell", ["1", "3"])
+@pytest.mark.parametrize("x", ["8e307", "9e307", "1e308", "1.5e308", "1.7976931348623157e308"])
+def test_closed_kernel_past_its_limit_reports_overflow(capsys, x, ell, method):
+    # exit 3 as before, which used to blame the branch cut from x of about
+    # 9e307 and print a bare "absolute value too large" from 1.27e308
+    code = cli.main(["kernel", "--ell", ell, "--x", x, "--method", method])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "numerical failure: k_closed: x = " in captured.err
+    assert "exceeds X_MAX_CLOSED = 3e+307" in captured.err
+    assert "branch cut" not in captured.err
+
+
 def _reject_constant(name):
     raise ValueError(f"JSON output holds {name}")
 

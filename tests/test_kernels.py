@@ -1,5 +1,7 @@
 import math
 import pickle
+import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from hankel_spectra import kernels
+from hankel_spectra import kernels, specfun
 from hankel_spectra.kernels import (
+    X_MAX_CLOSED,
     X_MIN_CLOSED,
     KernelEvaluation,
     evaluate,
@@ -262,7 +265,7 @@ def test_a_series_matches_mpmath():
             x = 1e-3 * (12.0 / math.sqrt(2.0) / 1e-3) ** (i / 299)
             z = mp.mpc(-x, x)
             want = mp.exp(-x) * (mp.pi + mp.im(mp.e1(z)))
-            assert abs(kernels._a_value(x) - want) <= 4e-16, x
+            assert abs(kernels._a_value(x, math.sin(x), math.cos(x)) - want) <= 4e-16, x
 
 
 def test_a_series_meets_the_e1_form_at_the_radius():
@@ -277,17 +280,37 @@ def test_a_series_meets_the_e1_form_at_the_radius():
 
 
 def test_a_beyond_the_radius_is_the_e1_form_unchanged():
+    # _a_value calls the continued fraction itself, which is e1_scaled's
+    # route on A's ray at every x the closed form serves past the radius
     edge = 12.0 / math.sqrt(2.0)
     grid = [math.nextafter(edge, math.inf)]
-    grid += [8.5 * (1e6 / 8.5) ** (i / 49) for i in range(50)]
+    grid += [8.5 * (X_MAX_CLOSED / 8.5) ** (i / 99) for i in range(100)]
+    assert grid[-1] == X_MAX_CLOSED
     for x in grid:
-        assert kernels._a_value(x) == kernel_terms._a_value(x), x
+        assert specfun._scaled_route(complex(-x, x)) is specfun._e1_cf_scaled, x
+        a = kernels._a_value(x, math.sin(x), math.cos(x))
+        assert a == kernel_terms._a_value(x), x
 
 
 # value, as float.hex, from the E1 form of A and the coefficient loop
-# before its unrolling; error_estimate from the same sum plus its floor of
-# two ulps of the value
+# before its unrolling (from the real series of A at x <= 8.485);
+# error_estimate from the same sum plus its floor of two ulps of the value
 _CLOSED_PINS = {
+    (1, 0.0): ("0x1.7419f246c6efap-2", "0x1.0bdc9cb769fa2p-50"),
+    (1, 0.1): ("0x1.8fbe2ef538a7ap-2", "0x1.0f7240b280420p-50"),
+    (1, 1.0): ("0x1.2a5bbb84cb7dbp-1", "0x1.2e62733ff3758p-50"),
+    (1, 5.0): ("-0x1.32a4259f70ff9p-7", "0x1.2c5192bb08199p-53"),
+    (1, 8.485): ("0x1.96c611c83a22cp-5", "0x1.c9dfc2c892e54p-54"),
+    (4, 0.0): ("0x1.05880ca8a0908p-5", "0x1.22616f3cdae4fp-48"),
+    (4, 0.1): ("0x1.3411b4b3a6d6bp-6", "0x1.7e231b334dbd7p-48"),
+    (4, 1.0): ("-0x1.da8955244c3eep-4", "0x1.8e57a861b7872p-46"),
+    (4, 5.0): ("0x1.369baa708fad3p-2", "0x1.1100cb81b7901p-44"),
+    (4, 8.485): ("0x1.93f66414705aep-2", "0x1.61cf765daf117p-43"),
+    (8, 0.0): ("0x1.302fca996f569p-7", "0x1.2085c9696cac6p-47"),
+    (8, 0.1): ("0x1.c8707bd175252p-10", "0x1.0ab6e8b5c369ap-46"),
+    (8, 1.0): ("-0x1.0e35a9348f25fp-4", "0x1.3453dc2650f50p-42"),
+    (8, 5.0): ("0x1.3ff22994a4949p-3", "0x1.702777e6512b0p-37"),
+    (8, 8.485): ("-0x1.1780387373fd8p-2", "0x1.aea43fcd7dfccp-34"),
     (1, 9.0): ("0x1.282a94796537cp-4", "0x1.ad29fcdddfd4cp-54"),
     (1, 20.0): ("-0x1.c2bdfd06c6915p-7", "0x1.d93056cb33e21p-56"),
     (1, 100.0): ("-0x1.6b626769f6256p-8", "0x1.1d36deebad7c6p-57"),
@@ -303,10 +326,27 @@ _CLOSED_PINS = {
 }
 
 
-@pytest.mark.parametrize("ell, x", sorted(_CLOSED_PINS))
+@pytest.mark.parametrize("ell, x", sorted(k for k in _CLOSED_PINS if k[1] > 8.5))
 def test_closed_values_beyond_the_radius_are_pinned(ell, x):
     record = k_closed(ell, x)
     assert (record.value.hex(), record.error_estimate.hex()) == _CLOSED_PINS[ell, x]
+
+
+@pytest.mark.parametrize("ell, x", sorted(k for k in _CLOSED_PINS if k[1] < 8.5))
+def test_closed_values_below_the_radius_are_pinned(ell, x):
+    record = k_closed(ell, x)
+    assert (record.value.hex(), record.error_estimate.hex()) == _CLOSED_PINS[ell, x]
+
+
+@pytest.mark.parametrize("ell, x", sorted(_CLOSED_PINS))
+def test_evaluate_returns_the_k_closed_record_on_every_pin(ell, x):
+    record = k_closed(ell, x)
+    assert record == (x, record.value, "closed", record.error_estimate)
+    assert evaluate(ell, x, method="closed") == record
+    if x >= kernels._CROSSOVER:
+        assert evaluate(ell, x) == record
+    else:
+        assert evaluate(ell, x).route == "convolution"
 
 
 @pytest.mark.parametrize("ell", range(1, 9))
@@ -428,6 +468,8 @@ def test_evaluate_validation():
         evaluate(-1, 1.0)
     with pytest.raises(ValueError):
         k_closed(1, -1e-4)
+    with pytest.raises(ValueError, match="X_MIN_CLOSED"):
+        evaluate(1, -1e-4, method="closed")
     with pytest.raises(ValueError):
         evaluate(1, 1.0, method="magic")
 
@@ -494,6 +536,34 @@ def test_closed_sum_past_the_double_range_is_a_numerical_failure(ell, x):
         k_closed(ell, x)
     with pytest.raises(OverflowError):
         evaluate(ell, x)
+
+
+_TOP_OF_THE_RANGE = [8e307, 9e307, 1e308, 1.5e308, sys.float_info.max]
+
+
+@pytest.mark.parametrize("x", _TOP_OF_THE_RANGE)
+@pytest.mark.parametrize("ell", [1, 2, 3, 8])
+def test_closed_x_past_its_limit_is_an_overflow_naming_k_closed(ell, x):
+    # the E1 continued fraction used to stall from x of about 9e307 (exit 3,
+    # "too close to the branch cut"), and abs(-x + ix) to overflow from
+    # about 1.27e308
+    want = "^" + re.escape(f"k_closed: x = {x} exceeds X_MAX_CLOSED = 3e+307")
+    for route in (k_closed, evaluate, lambda ell, x: evaluate(ell, x, method="closed")):
+        with pytest.raises(OverflowError, match=want):
+            route(ell, x)
+
+
+def test_closed_values_at_the_limit_lie_within_their_estimate():
+    # orders 1 and 2 still give values this far out; the kernel is
+    # (2/pi) sin(x - ell pi/2)/x up to a relative 1/x, and 340 digits
+    # resolve x - ell pi/2. At X_MAX_CLOSED, 1/z on A's ray is still normal.
+    assert X_MAX_CLOSED == 3e307 < 1.0 / (math.sqrt(2.0) * sys.float_info.min)
+    with mp.workdps(340):
+        for x in (1e306, 1e307, X_MAX_CLOSED):
+            for ell in (1, 2):
+                record = k_closed(ell, x)
+                want = 2 / mp.pi * mp.sin(mp.mpf(x) - ell * mp.pi / 2) / x
+                assert abs(record.value - want) <= record.error_estimate, (ell, x)
 
 
 def test_lp_diagnostic_basic():

@@ -1,11 +1,13 @@
 import math
 import cmath
+import sys
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from hankel_spectra import specfun
 from hankel_spectra.specfun import (
     EULER_GAMMA,
     SINC_ORDER_MAX,
@@ -240,6 +242,39 @@ def test_e1_scaled_converges_at_large_arguments():
         z = complex(-(10.0**exponent), 10.0**exponent)
         want = 1.0 / z - 1.0 / (z * z)
         assert abs(e1_scaled(z) - want) <= 1e-15 * abs(want), exponent
+
+
+_HUGE = sys.float_info.max
+
+
+@pytest.mark.parametrize("f", [e1_scaled, e1, ein], ids=lambda f: f.__name__)
+def test_moduli_past_the_normal_range_of_1_over_z_are_an_overflow(f):
+    # the continued fraction stalls where 1/z is subnormal, and used to
+    # blame the branch cut; abs(z) itself overflowed from |z| = 1.8e308
+    for z in (
+        complex(-1e308, 1e308),
+        complex(-1.5e308, 1.5e308),
+        complex(1.5e308, 1.5e308),
+        complex(-_HUGE, _HUGE),
+    ):
+        with pytest.raises(OverflowError, match=f"^{f.__name__}: .* overflows the continued") as info:
+            f(z)
+        assert "branch cut" not in str(info.value)
+
+
+def test_huge_moduli_where_the_fraction_converges_keep_their_values():
+    assert e1(1e308) == 0j
+    assert ein(1e308) == pytest.approx(math.log(1e308) + EULER_GAMMA, rel=1e-15)
+    assert e1_scaled(1e308) == pytest.approx(1e-308, rel=1e-15)
+    assert e1_scaled(complex(0.0, 1.7e308)) == pytest.approx(1 / complex(0.0, 1.7e308), rel=1e-14)
+
+
+@pytest.mark.parametrize("f", [e1_scaled, e1, ein], ids=lambda f: f.__name__)
+def test_a_stalled_continued_fraction_names_its_caller(f, monkeypatch):
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 2)
+    with pytest.raises(ArithmeticError, match=f"^{f.__name__}: continued fraction failed") as info:
+        f(complex(5.0, 5.0))
+    assert type(info.value) is ArithmeticError
 
 
 def test_e1_rejects_cut_and_origin():
