@@ -6,9 +6,10 @@ fourier_xi_pow and fourier_psi_tilde (p_ell and the alternating
 sinc-derivative sum); the fully explicit route k_closed expands the
 symbol in partial fractions of 1/(1-it), which gives once per order an
 exact linear form over A(x) x^k, sin(x) x^k and cos(x) x^k plus one
-multiple of sinc(x), with A from an exact real power series up to
-|x(-1+i)| = 12 and from E1's continued fraction beyond (the tests compare
-it with a second, term-by-term derivation); fourier_symbol_oracle from the
+multiple of sinc(x), with A from Taylor tables built once per quarter-unit
+below x = 40, from E1's continued fraction on [40, 60) and from E1's
+asymptotic series, per octave of x, beyond (the tests compare the route
+with a second, term-by-term derivation); fourier_symbol_oracle from the
 quadrature module is the slow reference; and k_asymptotic is the
 large-x limit shape. Their mutual agreement is the package's main
 correctness argument, so none of them is allowed to call into another's
@@ -28,7 +29,6 @@ from . import quadrature
 from .combinatorics import p_poly
 from .specfun import (
     L_MAX,
-    _SERIES_RADIUS,
     _check_finite,
     _check_int,
     _e1_cf_scaled,
@@ -38,10 +38,13 @@ from .specfun import (
 )
 
 X_MIN_CLOSED = 0.0
-# Past this x k_closed raises OverflowError: from x = 3.18e307 on, 1/z on
-# A's ray z = x(-1+i) is subnormal, order 2 misses its estimate (by up to
-# 1.15x on [6e307, 9e307]) and from about 8.99e307 E1's continued fraction
-# stops converging.
+# Past this x k_closed raises OverflowError. From x of about 2.2e307 on, A,
+# about 1/x, is subnormal, and from 2.86e307 on so is the kernel's envelope
+# 2/(pi x): values keep fewer than 53 bits. Only the last division of
+# _a_value rounds into the subnormals, and against 340-digit references
+# orders 1 and 2 stay within 0.32 of their estimate on [2.2e307, 3e307];
+# order 2 misses it by up to 1.04x from about 1.67e308. The limit stays
+# where E1's continued fraction, which served these x before, put it.
 X_MAX_CLOSED = 3e307
 
 # x at which the automatic route passes from k_conv to the closed form,
@@ -166,56 +169,137 @@ def k_conv(ell, x):
     )
 
 
-# The largest x with |x(-1+i)| <= _SERIES_RADIUS as e1_scaled computes it,
-# so the series below serves exactly where e1_scaled would take the Ein
-# series on A's ray (the tests check that the next double lies past it).
-_A_SERIES_X = _SERIES_RADIUS / math.sqrt(2.0)
-_A_BINS_PER_UNIT = 4
+# A(x) has three regimes: Taylor bins of width 1/4 below _A_TAYLOR_X, E1's
+# continued fraction up to _A_ASYMPTOTIC_X, and E1's asymptotic series per
+# octave of x from there on. Both tables keep the terms whose dropped tail
+# stays within _A_TAIL, relative to 1/(1 + x) and to |e^z E1(z)|.
+_A_TAYLOR_X = 40.0
+_A_ASYMPTOTIC_X = 60.0
 _A_TAIL = 2.0**-57
+# A bin's coefficients are summed in fixed point, as integers in units of
+# 2^-_A_BITS: the series for A(c) cancels to e^(-c) of its largest term,
+# about e^(-0.41 c) or 2^-24 at c = 40, and 192 bits leave 100 to spare
+_A_BITS = 192
+_PI_FIXED = int(
+    Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+    * 2**_A_BITS
+)
+
+
+def _eighth_turns(m):
+    # (cos, sin) of m/8 in fixed point: e^(i/8) from its Taylor series,
+    # raised to the m-th power by squaring
+    one = 1 << _A_BITS
+    cos, sin, term, k = one, 0, one, 0
+    while term:
+        k += 1
+        term //= 8 * k
+        if k % 2:
+            sin += term if k % 4 == 1 else -term
+        else:
+            cos += term if k % 4 == 0 else -term
+    power = (one, 0)
+    while m:
+        if m & 1:
+            power = (
+                (power[0] * cos - power[1] * sin) >> _A_BITS,
+                (power[0] * sin + power[1] * cos) >> _A_BITS,
+            )
+        cos, sin = (cos * cos - sin * sin) >> _A_BITS, (2 * cos * sin) >> _A_BITS
+        m >>= 1
+    return power
 
 
 @lru_cache(maxsize=None)
-def _a_series():
-    # On z = x(-1+i), Im log z = 3 pi/4, so E1 = Ein - log z - gamma gives
-    # A(x) = e^(-x) (pi/4 + sum_{k>=1} b_k x^k) with the exact rationals
-    # b_k = (-1)^(k+1) Im((-1+i)^k)/(k k!), (-1+i)^k = i^k (1+i)^k
-    # (DLMF 6.6.2; Abramowitz & Stegun 5.1.11). Bin i holds, highest first,
-    # the terms kept for x in [i/4, (i+1)/4), then pi/4. With y = x sqrt(2),
-    # |b_k| x^k <= t_k = y^k/(k k!) and t_(k+1)/t_k < y/(k+1), so once
-    # K + 1 > y the tail from K on is at most t_K/(1 - y/(K+1)); K is the
-    # first index at which that bound, at the bin's upper end and times
-    # e^(-x) at its lower end, is at most _A_TAIL.
-    bins = []
-    coeffs = [None]
-    for i in range(math.floor(_A_SERIES_X * _A_BINS_PER_UNIT) + 1):
-        y = math.sqrt(2.0) * (i + 1) / _A_BINS_PER_UNIT
-        damping = math.exp(-i / _A_BINS_PER_UNIT)
-        k, t = 1, y
-        while not (y < k + 1 and damping * t / (1.0 - y / (k + 1)) <= _A_TAIL):
-            t *= y * k / (k + 1) ** 2
-            k += 1
-        while len(coeffs) < k:
-            n = len(coeffs)
-            re, im = _gaussian_power(n)
-            im_n = (im, re, -im, -re)[n % 4]  # Im(i^n (re + i im))
-            coeffs.append(float(Fraction((-1) ** (n + 1) * im_n, n * math.factorial(n))))
-        bins.append((*reversed(coeffs[1:k]), math.pi / 4.0))
-    return tuple(bins)
+def _a_taylor(i):
+    # A's Taylor coefficients a_j about the centre c = m/8, m = 2i + 1, of
+    # bin i, [i/4, (i + 1)/4), highest first, each rounded once. a_0 = A(c):
+    # on z = c(-1+i), Im log z = 3 pi/4, so E1 = Ein - log z - gamma gives
+    # A(c) = e^(-c) (pi/4 + Im Ein(z)), Ein(z) = sum_{k>=1} (-1)^(k+1)
+    # z^k/(k k!) (DLMF 6.6.2), whose terms are -(1-i)^k t_k/k with
+    # t_k = c^k/k!. One pass over t_k sums e^c and Im Ein(z), until the Ein
+    # terms, at most 2^(k/2) t_k, fall below 2^-100 e^c with ratios under
+    # 1/2. The rest follow from A' = sinc - A: a_(j+1) = (s_j - a_j)/(j + 1),
+    # where s_j = (sigma_j - s_(j-1))/c are sinc's coefficients at c, as
+    # sin(c + h) = (c + h) sinc(c + h), and sigma_j = sin(c + j pi/2)/j! are
+    # sin's. |A^(j)| <= 1/(j + 1), as |sinc^(j)| is, and |x - c| <= 1/8, so
+    # the terms from J on add at most 2 * 8^-J/((J + 1) J!); J is the first
+    # count at which that is at most _A_TAIL/(1 + x) at the bin's upper end.
+    limit = _A_TAIL / (1 + (i + 1) / 4)
+    count = 1
+    while 2 / (8**count * (count + 1) * math.factorial(count)) > limit:
+        count += 1
+    m = 2 * i + 1
+    one = 1 << _A_BITS
+    term, re, im = one, 1, 0  # t_k in fixed point, (1-i)^k
+    growth, ein = one, 0
+    k = 0
+    while k <= 3 * m / 8 or term << (k // 2 + 1) > growth >> 100:
+        k += 1
+        term = term * m // (8 * k)
+        re, im = re + im, im - re
+        growth += term
+        ein -= im * term // k
+    coeffs = [((_PI_FIXED >> 2) + ein) * one // growth]
+    cos, sin = _eighth_turns(m)
+    trig = (sin, cos, -sin, -cos)
+    sinc_j = 0
+    for j in range(count - 1):
+        sinc_j = (trig[j % 4] // math.factorial(j) - sinc_j) * 8 // m
+        coeffs.append((sinc_j - coeffs[j]) // (j + 1))
+    return tuple(a / one for a in reversed(coeffs))
+
+
+@lru_cache(maxsize=None)
+def _a_asymptotic(octave):
+    # e^z E1(z) on z = x(-1+i) is G(1/x)/x, with G(u) summed by Horner
+    # over the first n of w_k u^k, highest first, for x in [2^(octave-1),
+    # 2^octave) and x >= _A_ASYMPTOTIC_X. 1/z = -(1+i)/(2x) makes the terms
+    # (-1)^k k!/z^(k+1) of the asymptotic series (DLMF 6.12.1) exact: w_k =
+    # -k! (1+i)^(k+1)/2^(k+1), rounded once. At |ph z| = 3 pi/4 the
+    # remainder after n terms is at most csc(3 pi/4) = sqrt(2) times the
+    # first neglected term, n!/|z|^(n+1) (DLMF 6.12(i)), and |e^z E1(z)| >=
+    # (1 - sqrt(2)/|z|)/|z| = (1 - 1/x)/|z|; n is the first count at which
+    # that remainder is at most _A_TAIL times this bound at the octave's
+    # lower end, or, squared and with |z| = x sqrt(2), at which
+    # (n!)^2 <= (_A_TAIL (x - 1))^2 2^(n-1) x^(2n-2).
+    low = int(max(_A_ASYMPTOTIC_X, 2.0 ** (octave - 1)))
+    num, den = _A_TAIL.as_integer_ratio()
+    bound = (num * (low - 1)) ** 2
+    n = 1
+    while (den * math.factorial(n)) ** 2 > bound * 2 ** (n - 1) * low ** (2 * n - 2):
+        n += 1
+    coeffs = []
+    for k in range(n):
+        re, im = _gaussian_power(k + 1)
+        scale = -math.factorial(k)
+        coeffs.append(complex(scale * re / 2 ** (k + 1), scale * im / 2 ** (k + 1)))
+    return tuple(reversed(coeffs))
 
 
 def _a_value(x, s, c):
     # integral over (0, inf) of e^(-y) sinc(x - y) dy, x >= 0, s = sin x,
-    # c = cos x: pi e^(-x) + Im(e^(-ix) e^z E1(z)) on z = x(-1+i). The real
-    # series of _a_series serves up to _A_SERIES_X; beyond, e^z E1(z) is the
-    # continued fraction, the branch e1_scaled takes on this ray (the tests
-    # check that it does), and e^(-ix) is c - i s, bit for bit what
-    # cmath.exp(-ix) gives
-    if x <= _A_SERIES_X:
+    # c = cos x: pi e^(-x) + Im(e^(-ix) e^z E1(z)) on z = x(-1+i), with
+    # e^(-ix) = c - i s. Below _A_TAYLOR_X, the Taylor bin about the centre
+    # of x's quarter-unit; up to _A_ASYMPTOTIC_X, the continued fraction,
+    # kept bit for bit because there one ulp of A decides whether the
+    # kernel-table benchmark's point (8, 43.54) lies within 1e-8 of the
+    # oracle; beyond, the asymptotic series of e^z E1(z) = G/x, so that only
+    # the last division can round into the subnormals
+    if x < _A_TAYLOR_X:
+        i = int(x * 4)
+        h = x - (i + 0.5) / 4
         acc = 0.0
-        for coef in _a_series()[int(x * _A_BINS_PER_UNIT)]:
-            acc = acc * x + coef
-        return math.exp(-x) * acc
-    return math.pi * math.exp(-x) + (complex(c, -s) * _e1_cf_scaled(complex(-x, x))).imag
+        for coef in _a_taylor(i):
+            acc = acc * h + coef
+        return acc
+    if x < _A_ASYMPTOTIC_X:
+        return math.pi * math.exp(-x) + (complex(c, -s) * _e1_cf_scaled(complex(-x, x))).imag
+    u = 1.0 / x
+    g = 0j
+    for coef in _a_asymptotic(math.frexp(x)[1]):
+        g = g * u + coef
+    return math.pi * math.exp(-x) + (c * g.imag - s * g.real) / x
 
 
 @lru_cache(maxsize=None)
@@ -255,12 +339,16 @@ def k_closed(ell, x):
     E1(-x + ix) terms. Its coefficients are built once per order in exact
     arithmetic (on first use, then cached). A call costs one sin x and
     one cos x, one value of A and one Horner step per row of the three
-    polynomials; the sinc term is sin(x)/x. Up to x = 12/sqrt(2), where
-    e1_scaled would take its Ein series, A is e^(-x) (pi/4 + sum b_k x^k)
-    with exact rational b_k, summed by Horner to a stated tail bound;
-    beyond, it is pi e^(-x) + Im((cos x - i sin x) e^z E1(z)) on
-    z = x(-1+i), with e^z E1(z) from the continued fraction that
-    e1_scaled would pick there, called without e1_scaled's checks.
+    polynomials; the sinc term is sin(x)/x. A is pi e^(-x) +
+    Im((cos x - i sin x) e^z E1(z)) on z = x(-1+i), summed by Horner over
+    tables built once, on first use, to stated tail bounds. Below x = 40
+    it is A's Taylor expansion about the centre of x's quarter-unit bin:
+    the centre value from A's exact power series and the rest from
+    A' = sinc - A, in fixed point, each rounded once. From x = 60 on,
+    e^z E1(z) is E1's asymptotic series in 1/x, whose coefficients are
+    exact, cut per octave of x by its remainder bound (DLMF 6.12(i)). On
+    [40, 60) it is the continued fraction that e1_scaled picks there,
+    called without e1_scaled's checks.
 
     A is analytic, with A(0) = pi/4, so the route serves every x >= 0
     (X_MIN_CLOSED is 0; k_conv serves negative x): against 30-digit
@@ -272,8 +360,8 @@ def k_closed(ell, x):
     that cancellation, plus two ulps of the value, which the mass term
     alone can miss at order 1, where the mass is about the value. Where
     the sum or that mass leaves the double range it raises OverflowError,
-    and so it does past X_MAX_CLOSED = 3e307, below x = 3.18e307, where
-    the continued fraction's e^z E1(z), about 1/z, turns subnormal.
+    and so it does past X_MAX_CLOSED = 3e307, where the kernel's values,
+    about 2/(pi x), are subnormal.
     """
     ell = _check_int("k_closed", "ell", ell, 1, L_MAX)
     _check_finite("k_closed", "x", x)
