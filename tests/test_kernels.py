@@ -202,8 +202,8 @@ def test_rounding_floors_cover_the_mpmath_miss(ell, x, method):
 
 @pytest.mark.parametrize("ell", range(1, 9))
 def test_closed_error_estimate_covers_the_oracle_miss(ell):
-    # A comes from Taylor bins below x = 40, from E1's continued fraction up
-    # to 60 and from its asymptotic series beyond
+    # values come from the kernel's Taylor tables below x = 60 and from the
+    # rows over A's asymptotic series from there on
     grid = (1e-3, 0.01, 0.1, 0.3, 1.0, 3.0, 5.0, 8.4, 8.5, 9.9, 20.0, 60.0, 200.0, 1000.0)
     for x in grid:
         record = k_closed(ell, x)
@@ -241,80 +241,30 @@ def _horner(coeffs, h):
     return acc
 
 
-_A_BINS = 160  # quarter-unit Taylor bins on [0, 40)
-
-
 def _a_table():
-    # x = 0, every bin centre, both sides of every bin edge and of x = 40
-    # and 60, and 300 log points on [1e-3, X_MAX_CLOSED]
-    grid = {0.0, X_MAX_CLOSED}
-    grid.update((2 * i + 1) / 8 for i in range(_A_BINS))
-    for edge in [i / 4 for i in range(1, _A_BINS)] + [40.0, 60.0]:
-        grid.update((math.nextafter(edge, 0.0), edge))
+    # x = 60 and X_MAX_CLOSED, and the points from 60 on of 300 log points
+    # on [1e-3, X_MAX_CLOSED]: below 60 closed values use no value of A
+    grid = {60.0, X_MAX_CLOSED}
     low, high = math.log(1e-3), math.log(X_MAX_CLOSED)
     grid.update(math.exp(low + (high - low) * k / 299) for k in range(300))
-    return sorted(grid)
+    return sorted(x for x in grid if x >= 60.0)
 
 
 def test_a_series_matches_mpmath():
-    # Against 40 digits: within 4e-16 up to 8.485, and beyond within 2 ulps
-    # of 1/(1 + x) in the Taylor bins and the asymptotic series, no worse
-    # on either than E1's continued fraction (kernel_terms._a_value), which
-    # misses by up to 7.3 ulps on [8.6, 14.6]; on [40, 60) A is that fraction
-    worst = {}
+    # Against 40 digits: within 2 ulps of 1/(1 + x) in the asymptotic
+    # series, and no worse than E1's continued fraction
+    # (kernel_terms._a_value), which misses by up to 3.5 ulps there
+    worst = worst_fraction = 0.0
     with mp.workdps(40):
         for x in _a_table():
             a = kernels._a_value(x, math.sin(x), math.cos(x))
             want = _mp_a(x)
-            if x <= 8.485:
-                assert abs(a - want) <= 4e-16, x
-                continue
             fraction = kernel_terms._a_value(x)
-            if 40.0 <= x < 60.0:
-                assert a == fraction, x
-                continue
             ulp = math.ulp(1.0 / (1.0 + x))
             miss, fraction_miss = float(abs(a - want)) / ulp, float(abs(fraction - want)) / ulp
             assert miss <= 2.0, (x, miss)
-            regime = "taylor" if x < 40.0 else "asymptotic"
-            mine, theirs = worst.get(regime, (0.0, 0.0))
-            worst[regime] = (max(mine, miss), max(theirs, fraction_miss))
-    assert set(worst) == {"taylor", "asymptotic"}
-    for regime, (mine, theirs) in worst.items():
-        assert mine <= theirs, (regime, mine, theirs)
-
-
-def _mp_taylor(i, count):
-    # A's Taylor coefficients about c = (2i + 1)/8 from A' = sinc - A, with
-    # sinc's by Leibniz's rule for sin(x) times 1/x
-    c = mp.mpf(2 * i + 1) / 8
-    trig = (mp.sin(c), mp.cos(c), -mp.sin(c), -mp.cos(c))
-    coeffs = [_mp_a(c)]
-    for j in range(count - 1):
-        sinc_j = mp.fsum(
-            trig[(j - m) % 4] / mp.factorial(j - m) * (-1) ** m / c ** (m + 1)
-            for m in range(j + 1)
-        )
-        coeffs.append((sinc_j - coeffs[j]) / (j + 1))
-    return coeffs
-
-
-def test_a_taylor_bins_are_the_exact_coefficients_cut_by_their_tail_bound():
-    # |A^(j)| <= 1/(j + 1), as |sinc^(j)| is, so with |x - c| <= 1/8 the
-    # terms from J on add at most 2 * 8^-J/((J + 1) J!); each bin keeps the
-    # fewest terms for which that stays within 2^-57/(1 + x) at its upper end
-    def tail(count):
-        return Fraction(2, 8**count * (count + 1) * math.factorial(count))
-
-    with mp.workdps(60):
-        for i in range(_A_BINS):
-            table = kernels._a_taylor(i)
-            limit = Fraction(2.0**-57) / (1 + Fraction(i + 1, 4))
-            assert tail(len(table)) <= limit < tail(len(table) - 1), i
-            want = [float(a) for a in reversed(_mp_taylor(i, len(table)))]
-            assert list(table) == want, i
-            for j, a in enumerate(reversed(table)):
-                assert abs(a) <= 1.0 / ((j + 1) * math.factorial(j)), (i, j)
+            worst, worst_fraction = max(worst, miss), max(worst_fraction, fraction_miss)
+    assert worst <= worst_fraction
 
 
 def test_a_asymptotic_tables_are_the_exact_coefficients_cut_by_their_remainder_bound():
@@ -346,29 +296,77 @@ def test_a_asymptotic_tables_are_the_exact_coefficients_cut_by_their_remainder_b
     assert math.frexp(60.0)[1] == 6 and math.frexp(X_MAX_CLOSED)[1] == 1022
 
 
-def test_a_agrees_across_bin_edges_and_regime_boundaries():
-    # each side within an ulp of 1/(1 + x) or so, so the two meet within 2
-    for i in range(1, _A_BINS):
-        below = _horner(kernels._a_taylor(i - 1), 0.125)
-        above = _horner(kernels._a_taylor(i), -0.125)
-        assert abs(below - above) <= 2.0 * math.ulp(1.0 / (1.0 + i / 4)), i
-    # the last bin against the continued fraction at 40, the fraction
-    # against the asymptotic series at 60
-    taylor = _horner(kernels._a_taylor(_A_BINS - 1), 0.125)
-    assert abs(taylor - kernel_terms._a_value(40.0)) <= 2.0 * math.ulp(1.0 / 41.0)
-    asymptotic = kernels._a_value(60.0, math.sin(60.0), math.cos(60.0))
-    assert abs(asymptotic - kernel_terms._a_value(60.0)) <= 2.0 * math.ulp(1.0 / 61.0)
+_BINS = 240  # quarter-unit Taylor bins on [0, 60)
 
 
-def test_a_between_40_and_60_is_the_continued_fraction_bit_for_bit():
-    # E1's continued fraction, as e1_scaled routes on A's ray, serves
-    # [40, 60) unchanged until a large-x route replaces the band: there a
-    # rounding of A changes whether the kernel at (8, 43.54) lies within
-    # 1e-8 of the oracle, not the kernel's accuracy
-    grid = [40.0 + 20.0 * k / 200 for k in range(200)] + [math.nextafter(60.0, 0.0)]
-    for x in grid:
-        assert specfun._scaled_route(complex(-x, x)) is specfun._e1_cf_scaled, x
-        assert kernels._a_value(x, math.sin(x), math.cos(x)) == kernel_terms._a_value(x), x
+def _mp_series(i, count):
+    # the Taylor coefficients of A, sinc, sin and cos about c = (2i + 1)/8,
+    # A's from A' = sinc - A, with sinc's by Leibniz's rule for sin(x)
+    # times 1/x
+    c = mp.mpf(2 * i + 1) / 8
+    sines = [mp.sin(c + j * mp.pi / 2) / mp.factorial(j) for j in range(count)]
+    cosines = [mp.cos(c + j * mp.pi / 2) / mp.factorial(j) for j in range(count)]
+    inverse = [(-1) ** m / c ** (m + 1) for m in range(count)]
+    sincs = [mp.fdot(sines[j::-1], inverse) for j in range(count)]
+    a = [_mp_a(c)]
+    for j in range(count - 1):
+        a.append((sincs[j] - a[j]) / (j + 1))
+    return a, sincs, sines, cosines
+
+
+def _mp_taylor(ell, i, series):
+    # k^(ell)'s Taylor coefficients about c = (2i + 1)/8, lowest first. The
+    # exact rows of kernels._closed_rows are polynomials p over A, sin and
+    # cos; their Taylor coefficients at c, sum_k p_k C(k, m) c^(k-m), are
+    # exact rationals, and each multiplies its series as a power series.
+    # Then 2 (-1)^ell sinc is added and the sum divided by pi. The rows
+    # themselves are checked by the values below against the symbol's
+    # integral.
+    a, sincs, sines, cosines = series
+    c = Fraction(2 * i + 1, 8)
+    den, rows = kernels._closed_rows(ell)
+    total = [2 * (-1) ** ell * s for s in sincs]
+    for column, values in enumerate((a, sines, cosines)):
+        poly = [row[column] for row in reversed(rows)]  # lowest first
+        for m in range(len(poly)):
+            shift = sum(p * math.comb(k, m) * c ** (k - m) for k, p in enumerate(poly) if k >= m)
+            shift = mp.mpf(shift.numerator) / (shift.denominator * den)
+            for j in range(m, len(total)):
+                total[j] += shift * values[j - m]
+    return [t / mp.pi for t in total]
+
+
+def test_taylor_tables_are_the_exact_coefficients_cut_by_their_tail_bound():
+    # |k^(j)| <= 2/(pi (j + 1)), so with |x - c| <= 1/8 the terms from J on
+    # add at most 4/(pi (J + 1) J! 8^J); each table keeps the fewest terms
+    # for which that stays within 2^-64, every coefficient correctly rounded
+    # from 60 digits, then its error estimate
+    def tail(count):
+        return 4 / (mp.pi * (count + 1) * mp.factorial(count) * mp.mpf(8) ** count)
+
+    sparse = sorted(set(range(0, _BINS, 7)) | {_BINS - 1})
+    with mp.workdps(60):
+        for i in range(_BINS):
+            series = _mp_series(i, kernels._TAYLOR_TERMS)
+            for ell in range(1, 9):
+                if ell in (1, 8) or i in sparse:
+                    *table, _ = kernels._taylor_table(ell, i)
+                    assert len(table) == kernels._TAYLOR_TERMS
+                    assert tail(len(table)) <= mp.mpf(2) ** -64 < tail(len(table) - 1)
+                    want = [float(b) for b in reversed(_mp_taylor(ell, i, series))]
+                    assert table == want, (ell, i)
+                    for j, b in enumerate(reversed(table)):
+                        assert abs(b) <= 2 / (math.pi * (j + 1) * math.factorial(j)), (ell, i, j)
+    # each side of an edge lies within its own estimate of the kernel, so
+    # the two meet within the sum; the last bin meets the asymptotic route
+    for ell in range(1, 9):
+        tables = [kernels._TAYLOR[ell][i] or kernels._taylor_table(ell, i) for i in range(_BINS)]
+        for below, above in zip(tables, tables[1:]):
+            gap = abs(_horner(below[:-1], 0.125) - _horner(above[:-1], -0.125))
+            assert gap <= below[-1] + above[-1], ell
+        record = k_closed(ell, 60.0)
+        gap = abs(_horner(tables[-1][:-1], 0.125) - record.value)
+        assert gap <= tables[-1][-1] + record.error_estimate, ell
 
 
 def _kernel_table_points():
@@ -377,72 +375,143 @@ def _kernel_table_points():
     return [(1 + k % 8, 0.1 * math.exp(math.log(1e4) * (k + 0.5) / 72)) for k in range(72)]
 
 
-def test_closed_values_outside_40_to_60_never_call_the_continued_fraction(monkeypatch):
+_RULE_PANELS, _RULE_NODES = 8, 20
+
+
+def _mp_rule():
+    # _mp_kernel's integral over [-1, 1] folded onto [0, 1], where the real
+    # part is even, as a fixed Gauss-Legendre rule of _RULE_NODES nodes on
+    # each of _RULE_PANELS panels: the nodes, and per order the weights
+    # times Re and Im of the symbol, so that one cos(x t) and sin(x t) per
+    # node serve all eight orders at one x
+    with mp.workdps(50):
+        nodes, weights = mp.gauss_quadrature(_RULE_NODES, "legendre")
+        ts, rows = [], {ell: ([], []) for ell in range(1, 9)}
+        for p in range(_RULE_PANELS):
+            for node, weight in zip(nodes, weights):
+                t = (2 * p + 1 + node) / (2 * _RULE_PANELS)
+                ts.append(t)
+                symbol = mp.mpc(1, t) / mp.mpc(1, -t)
+                for ell, (re_part, im_part) in rows.items():
+                    value = weight / (_RULE_PANELS * mp.pi) * symbol**ell
+                    re_part.append(value.real)
+                    im_part.append(value.imag)
+    return ts, rows
+
+
+def _mp_kernels(rule, x):
+    # the kernel of every order at x, at 40 digits
+    ts, rows = rule
+    with mp.workdps(40):
+        cos, sin = zip(*(mp.cos_sin(x * t) for t in ts))
+        return {
+            ell: mp.fdot(re_part, cos) + mp.fdot(im_part, sin)
+            for ell, (re_part, im_part) in rows.items()
+        }
+
+
+def test_closed_values_below_60_lie_within_their_estimate_of_mpmath():
+    # x = 0, both sides of every 8th bin edge, of 40 and of 60, and the
+    # kernel-table points below 60, against the symbol's integral at 40
+    # digits; the fixed rule meets _mp_kernel_wide's adaptive one at the
+    # top of the range, where it is hardest
+    rule = _mp_rule()
+    with mp.workdps(40):
+        assert abs(_mp_kernels(rule, 60.0)[8] - _mp_kernel_wide(8, 60.0)) <= 1e-28
+    grid = {0.0}
+    for edge in [2.0 * k for k in range(1, 30)] + [40.0, 60.0]:
+        grid.update((math.nextafter(edge, 0.0), edge))
+    points = [(ell, x) for x in sorted(grid) for ell in range(1, 9)]
+    points += [(ell, x) for ell, x in _kernel_table_points() if x < 60.0]
+    assert len(points) == 8 * 61 + 50
+    references = {}
+    for ell, x in points:
+        if x not in references:
+            references[x] = _mp_kernels(rule, x)
+        record = k_closed(ell, x)
+        assert x == 60.0 or record.error_estimate <= 4e-15, (ell, x)
+        assert abs(record.value - references[x][ell]) <= record.error_estimate, (ell, x)
+
+
+def test_the_kernel_table_point_at_43_54_meets_the_oracle():
+    # it used to pass perfbench's 1e-8 check by one ulp of A, missing by 9.6e-9
+    (ell, x), = [(ell, x) for ell, x in _kernel_table_points() if ell == 8 and 43 < x < 44]
+    assert abs(evaluate(ell, x).value - fourier_symbol_oracle(ell, x)) <= 1e-15
+
+
+def _clear_tables(monkeypatch):
+    # every table is built again on its next use
+    monkeypatch.setattr(kernels, "_TAYLOR", [[None] * _BINS for _ in range(kernels.L_MAX + 1)])
+    kernels._a_taylor.cache_clear()
+    kernels._a_asymptotic.cache_clear()
+
+
+def test_closed_values_never_call_the_continued_fraction(monkeypatch):
     def refuse(z):
         raise AssertionError(f"continued fraction called at z = {z!r}")
 
-    monkeypatch.setattr(kernels, "_e1_cf_scaled", refuse)
+    assert "_e1_cf_scaled" not in vars(kernels)
+    monkeypatch.setattr(specfun, "_e1_cf_scaled", refuse)
+    _clear_tables(monkeypatch)
     grid = _kernel_table_points()
     grid += [(ell, 0.1 * 1e7 ** (k / 99)) for ell in range(1, 9) for k in range(100)]
-    served = 0
     for ell, x in grid:
-        if not 40.0 <= x < 60.0:
-            assert evaluate(ell, x).route == "closed"
-            served += 1
-    assert served > 700
+        assert evaluate(ell, x).route == "closed"
     with pytest.raises(AssertionError, match="continued fraction called"):
-        evaluate(1, 50.0)
+        specfun.e1_scaled(complex(-50.0, 50.0))
 
 
-def test_one_evaluate_call_builds_at_most_one_table():
-    # tables are built on first use, one per Taylor bin or octave, so a
-    # cold command pays for the tables its points touch and no more
+def test_one_evaluate_call_builds_at_most_one_table(monkeypatch):
+    # tables are built on first use: per order and Taylor bin, one shared
+    # series per bin and one per octave, so a cold command pays for the
+    # tables its points touch and no more
     def built():
+        orders = sum(table is not None for row in kernels._TAYLOR for table in row)
         return (
-            kernels._a_taylor.cache_info().currsize
-            + kernels._a_asymptotic.cache_info().currsize
+            orders,
+            kernels._a_taylor.cache_info().currsize,
+            kernels._a_asymptotic.cache_info().currsize,
         )
 
-    kernels._a_taylor.cache_clear()
-    kernels._a_asymptotic.cache_clear()
+    _clear_tables(monkeypatch)
     grid = _kernel_table_points() + [(3, 0.5 + 999.5 * k / 23) for k in range(24)]
     grid += [(1, 1e7 ** (k / 49)) for k in range(50)]
     for ell, x in grid:
         before = built()
         evaluate(ell, x)
-        assert built() - before <= 1, (ell, x)
-    assert kernels._a_taylor.cache_info().currsize <= _A_BINS
+        assert all(0 <= b - a <= 1 for a, b in zip(before, built())), (ell, x)
+    assert kernels._a_taylor.cache_info().currsize <= _BINS
 
 
-# value and error_estimate as float.hex, with A from the Taylor bins below
-# x = 40 and from the asymptotic series from x = 60; the test after the
-# pinned ones holds each value within its estimate of mpmath
+# value and error_estimate as float.hex, from the kernel's Taylor tables below
+# x = 60 and from the rows over A's asymptotic series from there on; the
+# test after the pinned ones holds each value within its estimate of mpmath
 _CLOSED_PINS = {
-    (1, 0.0): ("0x1.7419f246c6efdp-2", "0x1.0bdc9cb769fa2p-50"),
-    (1, 0.1): ("0x1.8fbe2ef538a7dp-2", "0x1.0f7240b280420p-50"),
-    (1, 1.0): ("0x1.2a5bbb84cb7dcp-1", "0x1.2e62733ff3758p-50"),
-    (1, 5.0): ("-0x1.32a4259f70fc6p-7", "0x1.2c5192bb08198p-53"),
-    (1, 8.485): ("0x1.96c611c83a227p-5", "0x1.c9dfc2c892e53p-54"),
-    (4, 0.0): ("0x1.05880ca8a08b6p-5", "0x1.22616f3cdae4fp-48"),
-    (4, 0.1): ("0x1.3411b4b3a6cc8p-6", "0x1.7e231b334dbd8p-48"),
-    (4, 1.0): ("-0x1.da8955244c417p-4", "0x1.8e57a861b7873p-46"),
-    (4, 5.0): ("0x1.369baa708fad3p-2", "0x1.1100cb81b7900p-44"),
-    (4, 8.485): ("0x1.93f66414704f7p-2", "0x1.61cf765daf116p-43"),
-    (8, 0.0): ("0x1.302fca996f2ddp-7", "0x1.2085c9696cac6p-47"),
-    (8, 0.1): ("0x1.c8707bd175252p-10", "0x1.0ab6e8b5c369bp-46"),
-    (8, 1.0): ("-0x1.0e35a9348f25fp-4", "0x1.3453dc2650f50p-42"),
-    (8, 5.0): ("0x1.3ff22994a8eadp-3", "0x1.702777e6512afp-37"),
-    (8, 8.485): ("-0x1.17803873657cbp-2", "0x1.aea43fcd7dfcbp-34"),
-    (1, 9.0): ("0x1.282a94796537bp-4", "0x1.ad29fcdddfd4cp-54"),
-    (1, 20.0): ("-0x1.c2bdfd06c690ep-7", "0x1.d93056cb33e23p-56"),
+    (1, 0.0): ("0x1.7419f246c6efap-2", "0x1.a704b37e31dccp-54"),
+    (1, 0.1): ("0x1.8fbe2ef538a7bp-2", "0x1.a704b37e31dccp-54"),
+    (1, 1.0): ("0x1.2a5bbb84cb7dcp-1", "0x1.2af71af5675a6p-53"),
+    (1, 5.0): ("-0x1.32a4259f70fc6p-7", "0x1.049e838e5c89ap-56"),
+    (1, 8.485): ("0x1.96c611c83a229p-5", "0x1.c63ca0cfdc9e0p-57"),
+    (4, 0.0): ("0x1.05880ca8a090cp-5", "0x1.1115bbc070fcdp-56"),
+    (4, 0.1): ("0x1.3411b4b3a6cfbp-6", "0x1.1115bbc070fcdp-56"),
+    (4, 1.0): ("-0x1.da8955244c3ffp-4", "0x1.5525555032095p-55"),
+    (4, 5.0): ("0x1.369baa708fb0ap-2", "0x1.787d86a27dd7cp-54"),
+    (4, 8.485): ("0x1.93f664147052bp-2", "0x1.8dacd12c3261cp-54"),
+    (8, 0.0): ("0x1.302fca996f520p-7", "0x1.3f97186ba3c02p-57"),
+    (8, 0.1): ("0x1.c8707bd17411cp-10", "0x1.3f97186ba3c02p-57"),
+    (8, 1.0): ("-0x1.0e35a9348efcfp-4", "0x1.526509b7f18fcp-56"),
+    (8, 5.0): ("0x1.3ff2299498c90p-3", "0x1.380478793c6dap-55"),
+    (8, 8.485): ("-0x1.178038733b92fp-2", "0x1.2a58f1a40850bp-54"),
+    (1, 9.0): ("0x1.282a94796537ap-4", "0x1.2f7ec350a83c0p-56"),
+    (1, 20.0): ("-0x1.c2bdfd06c690cp-7", "0x1.186b4d37b3d24p-58"),
     (1, 100.0): ("-0x1.6b626769f625bp-8", "0x1.1d36deebad7c8p-57"),
     (1, 1000.0): ("-0x1.77ca0bacb8827p-12", "0x1.0cf609f4b2c6cp-61"),
-    (4, 9.0): ("0x1.18586b708b4ccp-2", "0x1.6fa6e8f8af051p-43"),
-    (4, 20.0): ("0x1.278abb9aa1893p-5", "0x1.c23923080cb15p-42"),
+    (4, 9.0): ("0x1.18586b708b463p-2", "0x1.e885235b9bd74p-55"),
+    (4, 20.0): ("0x1.278abb9aa3dfbp-5", "0x1.3605f055ceab2p-57"),
     (4, 100.0): ("-0x1.b874857602c52p-9", "0x1.b1ab6f73cb372p-37"),
     (4, 1000.0): ("0x1.1518d47a9ea2ep-11", "0x1.83ea5054ad507p-31"),
-    (8, 9.0): ("-0x1.3c1d57f6c1d86p-2", "0x1.0596a6faf7639p-33"),
-    (8, 20.0): ("0x1.7d36bcf700dddp-4", "0x1.a74200d85db08p-29"),
+    (8, 9.0): ("-0x1.3c1d57f6bb1d1p-2", "0x1.24f9b35a5a879p-54"),
+    (8, 20.0): ("0x1.7d36bd03e8381p-4", "0x1.4bf9c4207ba36p-56"),
     (8, 100.0): ("-0x1.ccc2a4c68bb8ap-9", "0x1.e6b48a7d101cfp-16"),
     (8, 1000.0): ("-0x1.6175998f36633p-1", "0x1.b79dc67d99787p+3"),
 }
